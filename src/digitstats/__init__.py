@@ -9,121 +9,22 @@ uniform-digit behaviour of random streams with a reproducible Monte
 Carlo harness.
 """
 
-from .core import (
-    DigitStream,
-    Radix,
-    RadixExpansion,
-    evaluate_expansion,
-    expand_rational,
-    format_expansion,
-    parse_expansion,
-    with_prefix,
-)
-from .errors import DomainError, Infeasible
-from .rationals import coerce_rational, decimal_str, parse_rational, ratio_str
-from .stats import (
-    Converged,
-    ConvergenceVerdict,
-    FrequencyProfile,
-    Oscillating,
-    PartialStats,
-    Undetermined,
-    classify_limit,
-    exact_frequencies_rational,
-    geometric_checkpoints,
-    mean_from_frequencies,
-    running_stats,
-    solve_ternary_system,
-    stats_to_csv,
-    stats_to_json,
-)
-from .construct import (
-    BlockSpec,
-    OscillationSchedule,
-    beatty_construct,
-    beatty_indicator,
-    block_boundaries,
-    block_digit_stream,
-    blockspec_to_csv,
-    build_oscillating_schedule,
-    construct_mean_without_frequency,
-    floor_weighted_average,
-    no_mean_example,
-    no_mean_one_run_ends,
-    no_mean_zero_run_ends,
-    quota_construct,
-)
-from .simulate import (
-    RNG_ID,
-    ExperimentConfig,
-    ExperimentSummary,
-    mix64,
-    normality_experiment,
-    summary_to_json,
-    trial_seed,
-    uniform_digit_trial,
-    uniform_digits,
-)
+from . import construct, core, errors, rationals, simulate, stats
+from .construct import *
+from .core import *
+from .errors import *
+from .rationals import *
+from .simulate import *
+from .stats import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "DomainError",
-    "Infeasible",
-    # rationals
-    "coerce_rational",
-    "decimal_str",
-    "parse_rational",
-    "ratio_str",
-    # core
-    "Radix",
-    "DigitStream",
-    "RadixExpansion",
-    "expand_rational",
-    "evaluate_expansion",
-    "with_prefix",
-    "format_expansion",
-    "parse_expansion",
-    # stats
-    "PartialStats",
-    "FrequencyProfile",
-    "Converged",
-    "Oscillating",
-    "Undetermined",
-    "ConvergenceVerdict",
-    "running_stats",
-    "mean_from_frequencies",
-    "exact_frequencies_rational",
-    "solve_ternary_system",
-    "classify_limit",
-    "geometric_checkpoints",
-    "stats_to_csv",
-    "stats_to_json",
-    # construct
-    "beatty_indicator",
-    "beatty_construct",
-    "quota_construct",
-    "floor_weighted_average",
-    "OscillationSchedule",
-    "build_oscillating_schedule",
-    "BlockSpec",
-    "construct_mean_without_frequency",
-    "block_digit_stream",
-    "block_boundaries",
-    "blockspec_to_csv",
-    "no_mean_example",
-    "no_mean_zero_run_ends",
-    "no_mean_one_run_ends",
-    # simulate
-    "RNG_ID",
-    "mix64",
-    "trial_seed",
-    "uniform_digits",
-    "uniform_digit_trial",
-    "ExperimentConfig",
-    "ExperimentSummary",
-    "normality_experiment",
-    "summary_to_json",
+    *errors.__all__,
+    *rationals.__all__,
+    *core.__all__,
+    *stats.__all__,
+    *construct.__all__,
+    *simulate.__all__,
 ]

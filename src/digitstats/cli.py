@@ -2,42 +2,47 @@
 
 Every subcommand maps 1:1 onto a library operation and adds no
 computation of its own; outputs are deterministic byte-for-byte given
-identical arguments. Exit codes: 0 success, 1 domain/infeasible errors,
-2 usage errors. Errors are one-line and machine-parsable with the
-prefixes ``error: usage:``, ``error: domain:``, ``error: infeasible:``.
+identical arguments. A handler only builds data (a table, a list of
+``(field, value)`` pairs or a digit string, plus its JSON document) and
+``_render`` turns that into the requested format. Exit codes: 0 success,
+1 domain/infeasible errors, 2 usage errors, including an unreadable
+``--digits-file`` or an unwritable ``--out``. Errors are one-line and
+machine-parsable with the prefixes ``error: usage:``, ``error: domain:``,
+``error: infeasible:``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .construct import (
     beatty_construct,
-    blockspec_to_csv,
+    blockspec_table,
     build_oscillating_schedule,
     construct_mean_without_frequency,
     floor_weighted_average,
     no_mean_example,
     quota_construct,
 )
-from .core import DigitStream, expand_rational, format_expansion
+from .core import DigitStream, digits_to_text, expand_rational, format_expansion, text_to_digits
 from .errors import DomainError, Infeasible
 from .rationals import decimal_str, parse_rational, ratio_str
 from .simulate import ExperimentConfig, normality_experiment, summary_to_json
 from .stats import (
     FrequencyProfile,
-    PartialStats,
     geometric_checkpoints,
     running_stats,
+    stats_table,
     stats_to_csv,
     stats_to_json,
 )
 
-__all__ = ["main", "run_cli"]
+__all__ = ["run_cli"]
 
 
 class _UsageError(Exception):
@@ -86,128 +91,93 @@ def _resolve_checkpoints(spec) -> list[int]:
     return spec[1]
 
 
-def _digits_text(digits: Sequence[int], base: int) -> str:
-    if base <= 10:
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
+def _read_digit_text(path: str | None) -> str:
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise DomainError(f"invalid digit character {bad!r}: the input is not UTF-8") from None
 
 
-def _parse_digit_text(text: str, base: int) -> list[int]:
-    if base <= 10:
-        digits = []
-        for ch in text:
-            if ch.isspace():
-                continue
-            if not ch.isdigit():
-                raise DomainError(f"invalid digit character {ch!r}")
-            digits.append(int(ch))
-    else:
-        tokens = text.replace(",", " ").split()
-        try:
-            digits = [int(tok) for tok in tokens]
-        except ValueError:
-            raise DomainError(f"invalid digit token in input") from None
-    for d in digits:
-        if not 0 <= d < base:
-            raise DomainError(f"digit {d} out of range for base {base}")
-    return digits
+# ---------------------------------------------------------------- rendering
 
 
-def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+class _Table(NamedTuple):
+    header: Sequence[str]
+    rows: Iterable[Sequence[object]]  # cells are printed with str()
 
 
-def _kv_csv(pairs: Sequence[tuple[str, str]]) -> str:
-    lines = ["field,value"]
-    for key, value in pairs:
-        lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+class _Output(NamedTuple):
+    """A subcommand's result, ready for any --format.
+
+    A table or CSV view is a _Table, a list of (field, value) pairs, or
+    text already rendered (a digit line, or CSV the library wrote); the
+    JSON view is a payload or JSON text. A view that costs work the other formats do not need is
+    given as a function returning it, so only the requested view is built.
+    """
+
+    json: object
+    table: object
+    csv: object = None  # None: there is no CSV form
 
 
-def _json_dumps(payload) -> str:
-    import json
-
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit_digit_list(digits: list[int], base: int, fmt: str) -> str:
-    if fmt == "table":
-        return _digits_text(digits, base) + "\n"
+def _render(output: _Output, fmt: str) -> str:
+    data = getattr(output, fmt)
+    if callable(data):
+        data = data()
+    if data is None:
+        raise _UsageError("digit output supports --format table or json")
+    if isinstance(data, str):
+        return data
     if fmt == "json":
-        return _json_dumps({"base": base, "count": len(digits), "digits": _digits_text(digits, base)})
-    raise _UsageError("digit output supports --format table or json")
+        return json.dumps(data, indent=2) + "\n"
+    if isinstance(data, _Table):
+        lines = [list(data.header), *([str(cell) for cell in row] for row in data.rows)]
+        if fmt == "csv":
+            return "".join(",".join(line) + "\n" for line in lines)
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+    if fmt == "csv":
+        return "field,value\n" + "".join(f"{field},{value}\n" for field, value in data)
+    return "".join(f"{field}: {value}\n" for field, value in data)
 
 
-def _stats_table(rows: Sequence[PartialStats]) -> str:
-    base = rows[0].base
-    header = (
-        ["n"]
-        + [f"N{i}" for i in range(base)]
-        + [f"v{i}" for i in range(base)]
-        + ["r", "r_dec", "truncated"]
-    )
-    body = []
-    for row in rows:
-        body.append(
-            [str(row.n)]
-            + [str(c) for c in row.counts]
-            + [ratio_str(v) for v in row.freqs]
-            + [ratio_str(row.mean), decimal_str(row.mean), str(row.truncated).lower()]
-        )
-    return _format_table(header, body)
+def _digit_output(digits: Sequence[int], base: int) -> _Output:
+    text = digits_to_text(digits, base)
+    return _Output(json={"base": base, "count": len(digits), "digits": text}, table=lambda: text + "\n")
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_digits(args) -> str:
-    value = args.rational
-    expansion = expand_rational(value.numerator, value.denominator, args.base)
+def _cmd_digits(args) -> _Output:
+    value = ratio_str(args.rational)
+    expansion = expand_rational(args.rational.numerator, args.rational.denominator, args.base)
+    text = format_expansion(expansion)
     digits = None
     if args.count is not None:
-        digits = DigitStream.from_expansion(expansion).take(args.count)
-    if args.format == "table":
-        lines = [
-            f"expansion: {format_expansion(expansion)}",
-            f"value: {ratio_str(value)}",
-        ]
-        if digits is not None:
-            lines.append(f"digits: {_digits_text(digits, expansion.base)}")
-        return "\n".join(lines) + "\n"
-    if args.format == "json":
-        return _json_dumps(
-            {
-                "base": expansion.base,
-                "value": ratio_str(value),
-                "expansion": format_expansion(expansion),
-                "preperiod": list(expansion.preperiod),
-                "period": list(expansion.period),
-                "digits": None if digits is None else _digits_text(digits, expansion.base),
-            }
-        )
-    pairs = [
-        ("base", str(expansion.base)),
-        ("value", ratio_str(value)),
-        ("expansion", format_expansion(expansion)),
-    ]
-    if digits is not None:
-        pairs.append(("digits", _digits_text(digits, expansion.base)))
-    return _kv_csv(pairs)
+        digits = digits_to_text(DigitStream.from_expansion(expansion).take(args.count), expansion.base)
+    shown = [] if digits is None else [("digits", digits)]
+    return _Output(
+        json=lambda: {
+            "base": expansion.base,
+            "value": value,
+            "expansion": text,
+            "preperiod": list(expansion.preperiod),
+            "period": list(expansion.period),
+            "digits": digits,
+        },
+        table=[("expansion", text), ("value", value), *shown],
+        csv=[("base", expansion.base), ("value", value), ("expansion", text), *shown],
+    )
 
 
-def _cmd_stats(args) -> str:
-    if args.digits_file is None or args.digits_file == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.digits_file).read_text()
-    digits = _parse_digit_text(text, args.base)
+def _cmd_stats(args) -> _Output:
+    digits = text_to_digits(_read_digit_text(args.digits_file), args.base)
     stream = DigitStream.from_digits(digits, args.base)
     if args.checkpoints is None:
         if not digits:
@@ -216,121 +186,92 @@ def _cmd_stats(args) -> str:
     else:
         marks = _resolve_checkpoints(args.checkpoints)
     rows = running_stats(stream, marks)
-    if args.format == "csv":
-        return stats_to_csv(rows)
-    if args.format == "json":
-        return stats_to_json(rows)
-    return _stats_table(rows)
+    return _Output(
+        json=lambda: stats_to_json(rows),
+        table=lambda: _Table(*stats_table(rows, freq_decimals=False)),
+        csv=lambda: stats_to_csv(rows),
+    )
 
 
-def _cmd_construct_freq(args) -> str:
+def _cmd_construct_freq(args) -> _Output:
     if args.rule == "quota":
         if args.tau is None:
             raise _UsageError("--rule quota requires --tau")
         profile = FrequencyProfile(len(args.tau), args.tau)
-        digits = quota_construct(profile, args.count)
-        return _emit_digit_list(digits, profile.base, args.format)
+        return _digit_output(quota_construct(profile, args.count), profile.base)
     if args.a is None or args.b is None:
         raise _UsageError("--rule beatty requires --a and --b")
-    digits = beatty_construct(args.a, args.b, args.count)
-    return _emit_digit_list(digits, 3, args.format)
+    return _digit_output(beatty_construct(args.a, args.b, args.count), 3)
 
 
-def _cmd_construct_mean_nofreq(args) -> str:
+def _cmd_construct_mean_nofreq(args) -> _Output:
     spec, stream = construct_mean_without_frequency(
         args.theta, args.x1, args.x2, args.eps, args.blocks
     )
     if args.emit == "digits":
-        return _emit_digit_list(stream.take(stream.length), 3, args.format)
-    if args.format == "csv":
-        return blockspec_to_csv(spec)
-    if args.format == "json":
-        return _json_dumps(
-            {
-                "theta": ratio_str(spec.theta),
-                "blocks": spec.blocks,
-                "rows": [
-                    {"k": k, "a_k1": row[0], "a_k2": row[1], "a_k3": row[2], "alpha_k": ratio_str(alpha)}
-                    for k, (alpha, row) in enumerate(zip(spec.alphas, spec.rows), start=1)
-                ],
-            }
-        )
-    header = ["k", "a_k1", "a_k2", "a_k3", "alpha_k"]
-    body = [
-        [str(k), str(row[0]), str(row[1]), str(row[2]), ratio_str(alpha)]
-        for k, (alpha, row) in enumerate(zip(spec.alphas, spec.rows), start=1)
-    ]
-    return _format_table(header, body)
+        return _digit_output(stream.take(stream.length), 3)
+    header, rows = blockspec_table(spec)
+    table = _Table(header, rows)
+    return _Output(
+        json=lambda: {
+            "theta": ratio_str(spec.theta),
+            "blocks": spec.blocks,
+            "rows": [dict(zip(header, row)) for row in rows],
+        },
+        table=table,
+        csv=table,
+    )
 
 
-def _cmd_no_mean_example(args) -> str:
-    return _emit_digit_list(no_mean_example(args.count), 2, args.format)
+def _cmd_no_mean_example(args) -> _Output:
+    return _digit_output(no_mean_example(args.count), 2)
 
 
-def _cmd_floor_average(args) -> str:
+def _cmd_floor_average(args) -> _Output:
     w = floor_weighted_average(args.x, args.k, args.n)
-    if args.format == "json":
-        return _json_dumps(
-            {
-                "x": ratio_str(args.x),
-                "k": args.k,
-                "n": args.n,
-                "w": ratio_str(w),
-                "w_decimal": decimal_str(w),
-            }
-        )
-    if args.format == "csv":
-        return _kv_csv(
-            [("x", ratio_str(args.x)), ("k", str(args.k)), ("n", str(args.n)), ("w", ratio_str(w)), ("w_decimal", decimal_str(w))]
-        )
-    return f"w: {ratio_str(w)} = {decimal_str(w)}\n"
+    exact, decimal = ratio_str(w), decimal_str(w)
+    record = [("x", ratio_str(args.x)), ("k", args.k), ("n", args.n), ("w", exact), ("w_decimal", decimal)]
+    return _Output(json=dict(record), table=[("w", f"{exact} = {decimal}")], csv=record)
 
 
-def _cmd_schedule(args) -> str:
+def _cmd_schedule(args) -> _Output:
     schedule = build_oscillating_schedule(args.x1, args.x2, args.eps, args.n)
-    rows = list(zip(schedule.breakpoints, schedule.w_at_breakpoints))
-    if args.format == "json":
-        return _json_dumps(
-            {
-                "x1": ratio_str(schedule.x1),
-                "x2": ratio_str(schedule.x2),
-                "epsilon": ratio_str(schedule.epsilon),
-                "horizon": schedule.horizon,
-                "breakpoints": [
-                    {"k": k, "n": n, "w": ratio_str(w), "w_decimal": decimal_str(w)}
-                    for k, (n, w) in enumerate(rows, start=1)
-                ],
-            }
-        )
-    header = ["k", "n_k", "w", "w_dec"]
-    body = [
-        [str(k), str(n), ratio_str(w), decimal_str(w)] for k, (n, w) in enumerate(rows, start=1)
+    rows = [
+        [k, n, ratio_str(w), decimal_str(w)]
+        for k, (n, w) in enumerate(zip(schedule.breakpoints, schedule.w_at_breakpoints), start=1)
     ]
-    if args.format == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in body]
-        return "\n".join(lines) + "\n"
-    return _format_table(header, body)
+    table = _Table(["k", "n_k", "w", "w_dec"], rows)
+    return _Output(
+        json=lambda: {
+            "x1": ratio_str(schedule.x1),
+            "x2": ratio_str(schedule.x2),
+            "epsilon": ratio_str(schedule.epsilon),
+            "horizon": schedule.horizon,
+            "breakpoints": [dict(zip(("k", "n", "w", "w_decimal"), row)) for row in rows],
+        },
+        table=table,
+        csv=table,
+    )
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> _Output:
     cfg = ExperimentConfig(base=args.base, depth=args.n, trials=args.trials, master_seed=args.seed)
     summary = normality_experiment(cfg, args.band, workers=args.workers)
-    if args.format == "json":
-        return summary_to_json(summary)
-    if args.format == "csv":
-        lines = ["trial,r,r_dec"]
-        for i, r in enumerate(summary.r_values):
-            lines.append(f"{i},{ratio_str(r)},{decimal_str(r)}")
-        return "\n".join(lines) + "\n"
-    center = Fraction(cfg.base - 1, 2)
-    return (
-        f"trials: {cfg.trials}\n"
-        f"depth: {cfg.depth}\n"
-        f"center: {ratio_str(center)}\n"
-        f"band: {ratio_str(summary.band)}\n"
-        f"mean: {decimal_str(summary.mean)}\n"
-        f"stddev: {summary.stddev_decimal()}\n"
-        f"fraction_in_band: {decimal_str(summary.fraction_in_band)}\n"
+    return _Output(
+        json=lambda: summary_to_json(summary),
+        table=lambda: [
+            ("trials", cfg.trials),
+            ("depth", cfg.depth),
+            ("center", ratio_str(Fraction(cfg.base - 1, 2))),
+            ("band", ratio_str(summary.band)),
+            ("mean", decimal_str(summary.mean)),
+            ("stddev", summary.stddev_decimal()),
+            ("fraction_in_band", decimal_str(summary.fraction_in_band)),
+        ],
+        csv=lambda: _Table(
+            ["trial", "r", "r_dec"],
+            [[i, ratio_str(r), decimal_str(r)] for i, r in enumerate(summary.r_values)],
+        ),
     )
 
 
@@ -413,10 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the subcommand, write its output; return exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        text = _render(args.handler(args), args.format)
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
@@ -426,16 +373,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

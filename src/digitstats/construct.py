@@ -50,6 +50,7 @@ __all__ = [
     "construct_mean_without_frequency",
     "block_digit_stream",
     "block_boundaries",
+    "blockspec_table",
     "blockspec_to_csv",
     "no_mean_example",
     "no_mean_zero_run_ends",
@@ -352,13 +353,22 @@ def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:
     return tuple(depths)
 
 
+def blockspec_table(spec: BlockSpec) -> tuple[list[str], list[list]]:
+    """Header and rows `k,a_k1,a_k2,a_k3,alpha_k`: run lengths as ints, alpha as p/q."""
+    rows = [
+        [k, zeros, ones, twos, ratio_str(alpha)]
+        for k, (alpha, (zeros, ones, twos)) in enumerate(zip(spec.alphas, spec.rows), start=1)
+    ]
+    return ["k", "a_k1", "a_k2", "a_k3", "alpha_k"], rows
+
+
 def blockspec_to_csv(spec: BlockSpec) -> str:
-    """CSV rows `k,a_k1,a_k2,a_k3,alpha_k` (alpha as p/q)."""
+    """CSV of :func:`blockspec_table`."""
+    header, rows = blockspec_table(spec)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["k", "a_k1", "a_k2", "a_k3", "alpha_k"])
-    for k, (alpha, row) in enumerate(zip(spec.alphas, spec.rows), start=1):
-        writer.writerow([k, row[0], row[1], row[2], ratio_str(alpha)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 

@@ -13,6 +13,14 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+__all__ = [
+    "DECIMAL_SIGNIFICANT_DIGITS",
+    "parse_rational",
+    "coerce_rational",
+    "ratio_str",
+    "decimal_str",
+]
+
 DECIMAL_SIGNIFICANT_DIGITS = 20
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -154,13 +155,15 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
 
     The summary is a pure function of (cfg, band): per-trial seeds depend
     only on (master_seed, index), and aggregation reads results in index
-    order, so any `workers` count produces the identical summary.
+    order, so any `workers` count produces the identical summary. At most
+    one worker process runs per trial and per CPU.
     """
     band = coerce_rational(band)
     if band < 0:
         raise DomainError(f"band must be >= 0, got {band}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, cfg.trials, os.cpu_count() or 1)
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     if workers == 1:
         r_values = [_trial_mean(cfg.base, cfg.depth, seed) for seed in seeds]

@@ -35,6 +35,7 @@ __all__ = [
     "solve_ternary_system",
     "classify_limit",
     "geometric_checkpoints",
+    "stats_table",
     "stats_to_csv",
     "stats_to_json",
 ]
@@ -299,29 +300,37 @@ def _stats_base(rows: Sequence[PartialStats]) -> int:
     return base
 
 
-def stats_to_csv(rows: Sequence[PartialStats]) -> str:
-    """CSV with `n,N0..,v0..,r` columns plus decimal twins and a truncation flag."""
+def stats_table(
+    rows: Sequence[PartialStats], freq_decimals: bool = True
+) -> tuple[list[str], list[list[str]]]:
+    """Header and cells of the statistics columns, one row per depth.
+
+    Columns: ``n``, the counts ``N<i>``, the frequencies ``v<i>`` and the
+    mean ``r`` as exact ``p/q``, then decimal twins ``v<i>_dec`` (only
+    with `freq_decimals`) and ``r_dec``, and the truncation flag.
+    """
     base = _stats_base(rows)
-    header = (
-        ["n"]
-        + [f"N{i}" for i in range(base)]
-        + [f"v{i}" for i in range(base)]
-        + ["r"]
-        + [f"v{i}_dec" for i in range(base)]
-        + ["r_dec", "truncated"]
-    )
+    header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
+    if freq_decimals:
+        header += [f"v{i}_dec" for i in range(base)]
+    header += ["r_dec", "truncated"]
+    body = []
+    for row in rows:
+        freqs = row.freqs
+        cells = [str(row.n), *map(str, row.counts), *map(ratio_str, freqs), ratio_str(row.mean)]
+        if freq_decimals:
+            cells += map(decimal_str, freqs)
+        body.append(cells + [decimal_str(row.mean), str(row.truncated).lower()])
+    return header, body
+
+
+def stats_to_csv(rows: Sequence[PartialStats]) -> str:
+    """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag."""
+    header, body = stats_table(rows)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [row.n]
-            + [str(c) for c in row.counts]
-            + [ratio_str(v) for v in row.freqs]
-            + [ratio_str(row.mean)]
-            + [decimal_str(v) for v in row.freqs]
-            + [decimal_str(row.mean), str(row.truncated).lower()]
-        )
+    writer.writerows(body)
     return out.getvalue()
 
 

@@ -241,3 +241,50 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     code, empty, _ = run(capsys, argv + ["--out", str(out_path)])
     assert code == 0 and empty == ""
     assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "text,base",
+    [("12²", "10"), ("1٣", "10"), ("1,٣", "16"), ("1_0", "16"), ("+2", "16")],
+)
+def test_stats_rejects_non_ascii_digits_and_signs(capsys, monkeypatch, text, base):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, ["stats", "--base", base])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: domain: invalid digit character")
+    assert err.count("\n") == 1
+
+
+def test_stats_base16_tokens(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("15,0\n10 10,3\n"))
+    code, out, _ = run(capsys, ["stats", "--base", "16", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][0]["counts"] == [1, 0, 0, 1] + [0] * 6 + [2] + [0] * 4 + [1]
+
+
+def test_stats_missing_digits_file_is_usage(capsys, tmp_path):
+    code, out, err = run(capsys, ["stats", "--base", "10", "--digits-file", str(tmp_path / "absent.txt")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage: cannot read") and err.count("\n") == 1
+
+
+def test_stats_unreadable_digits_file_is_usage(capsys, tmp_path):
+    code, out, err = run(capsys, ["stats", "--base", "10", "--digits-file", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage: cannot read") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_usage(capsys, tmp_path):
+    out_path = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run(capsys, ["no-mean-example", "--count", "4", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: usage: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [b"01\xff1", "01²".encode()])
+def test_stats_non_utf8_or_non_ascii_file_is_domain(capsys, tmp_path, data):
+    digit_file = tmp_path / "digits.txt"
+    digit_file.write_bytes(data)
+    code, out, err = run(capsys, ["stats", "--base", "10", "--digits-file", str(digit_file)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: domain: invalid digit character") and err.count("\n") == 1

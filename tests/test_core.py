@@ -2,20 +2,44 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from digitstats import (
     DigitStream,
     DomainError,
-    Radix,
     RadixExpansion,
+    digits_to_text,
     evaluate_expansion,
     expand_rational,
     format_expansion,
     parse_expansion,
+    text_to_digits,
     with_prefix,
 )
+
+
+def long_division_oracle(p: int, q: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reference expansion of p/q: long division until a remainder repeats.
+
+    Remembers every remainder, so it needs memory linear in q; the
+    package's expand_rational must agree with it digit for digit.
+    """
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    digits = []
+    first_seen = {}
+    remainder = p
+    while remainder != 0 and remainder not in first_seen:
+        first_seen[remainder] = len(digits)
+        remainder *= base
+        digits.append(remainder // q)
+        remainder %= q
+    if remainder == 0:
+        return tuple(digits), (0,)
+    start = first_seen[remainder]
+    return tuple(digits[:start]), tuple(digits[start:])
 
 
 @pytest.mark.parametrize(
@@ -101,10 +125,35 @@ def test_expansion_canonical_invariants_enforced(preperiod, period):
         RadixExpansion(3, preperiod, period)
 
 
-def test_radix_validation():
-    assert list(Radix(3).alphabet) == [0, 1, 2]
-    with pytest.raises(DomainError):
-        Radix(1)
+def test_expand_rational_matches_long_division_oracle():
+    for base in range(2, 17):
+        for q in range(1, 301):
+            for p in range(q):
+                if gcd(p, q) == 1:
+                    e = expand_rational(p, q, base)
+                    assert (e.preperiod, e.period) == long_division_oracle(p, q, base), (p, q, base)
+
+
+@pytest.mark.parametrize("p,q,base", [(12345, 99991, 10), (1, 99991, 2), (777, 3 * 99991, 16), (5, 2**80 * 7, 12)])
+def test_long_expansion_round_trip(p, q, base):
+    e = expand_rational(p, q, base)
+    assert len(e.preperiod) + len(e.period) > 40
+    assert evaluate_expansion(e) == Fraction(p, q)
+
+
+def test_base_validation():
+    assert DigitStream.constant(0, 2).base == RadixExpansion(2, (), (0,)).base == 2
+    for base in [1, 0, -2, 2.0, "3", None]:
+        constructors = [
+            lambda: DigitStream.from_digits([], base),
+            lambda: DigitStream.constant(0, base),
+            lambda: DigitStream.from_function(lambda n: 0, base),
+            lambda: RadixExpansion(base, (), (0,)),
+            lambda: expand_rational(0, 1, base),
+        ]
+        for construct in constructors:
+            with pytest.raises(DomainError, match="base must be an integer >= 2"):
+                construct()
 
 
 def test_digit_stream_is_rereadable():
@@ -118,6 +167,16 @@ def test_digit_stream_is_rereadable():
 def test_digit_stream_validates_digits():
     with pytest.raises(DomainError):
         DigitStream.from_digits([0, 3], 3)
+
+
+@pytest.mark.parametrize("digits", [[-1], [1, 1.0], [0, "1"], [None], [[1]], [Fraction(1)]])
+def test_digit_stream_rejects_non_int_or_negative_digits(digits):
+    with pytest.raises(DomainError, match="out of range for base 3"):
+        DigitStream.from_digits(digits, 3)
+
+
+def test_digit_stream_accepts_int_subclasses():
+    assert DigitStream.from_digits((True, False, 2), 3).take(3) == [True, False, 2]
 
 
 def test_digit_stream_constant_and_function():
@@ -177,3 +236,45 @@ def test_format_parse_large_base_uses_commas():
 def test_parse_expansion_rejects_malformed(text):
     with pytest.raises(DomainError):
         parse_expansion(text)
+
+
+@pytest.mark.parametrize(
+    "base,digits,text",
+    [(10, (0, 1, 9, 5), "0195"), (3, (), ""), (2, (1,), "1"), (16, (15, 0, 10), "15,0,10"), (11, (10,), "10")],
+)
+def test_digit_text_round_trip(base, digits, text):
+    assert digits_to_text(digits, base) == text
+    assert text_to_digits(text, base) == digits
+
+
+def test_text_to_digits_ignores_ascii_whitespace():
+    assert text_to_digits(" 01\n2\t\r\v\f0", 3) == (0, 1, 2, 0)
+    assert text_to_digits("10,11 2\n,3\t0", 12) == (10, 11, 2, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "text,base",
+    [
+        ("12\u00b2", 10),  # superscript two
+        ("1\u0663", 10),  # Arabic-Indic three
+        ("1\u00a02", 10),  # no-break space
+        ("1,2", 10),
+        ("-1", 10),
+        ("1,\u0663", 16),
+        ("1_0", 16),
+        ("+2", 16),
+        ("0x1", 16),
+    ],
+)
+def test_text_to_digits_rejects_anything_but_ascii_digits(text, base):
+    with pytest.raises(DomainError, match="invalid digit character"):
+        text_to_digits(text, base)
+
+
+def test_text_to_digits_leaves_range_to_the_stream():
+    digits = text_to_digits("0150", 3)
+    assert digits == (0, 1, 5, 0)
+    with pytest.raises(DomainError, match="digit 5 out of range for base 3"):
+        DigitStream.from_digits(digits, 3)
+    with pytest.raises(DomainError):
+        parse_expansion("0.(5)_3")

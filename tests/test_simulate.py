@@ -126,3 +126,35 @@ def test_experiment_validation():
         normality_experiment(cfg, Fraction(-1, 10))
     with pytest.raises(DomainError):
         normality_experiment(cfg, Fraction(1, 10), workers=0)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers,trials,cpus,built",
+    [(1000, 3, 4, [3]), (1000, 50, 4, [4]), (3, 50, 8, [3]), (1000, 50, None, []), (2, 1, 8, [])],
+)
+def test_workers_capped_by_trials_and_cpus(monkeypatch, workers, trials, cpus, built):
+    monkeypatch.setattr("digitstats.simulate.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("digitstats.simulate.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "built", [])
+    cfg = ExperimentConfig(base=3, depth=20, trials=trials, master_seed=9)
+    summary = normality_experiment(cfg, Fraction(1, 10), workers=workers)
+    assert RecordingExecutor.built == built
+    assert summary == normality_experiment(cfg, Fraction(1, 10))
