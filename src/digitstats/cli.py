@@ -3,12 +3,12 @@
 Every subcommand maps 1:1 onto a library operation and adds no
 computation of its own; outputs are deterministic byte-for-byte given
 identical arguments. A handler only builds data (a table, a list of
-``(field, value)`` pairs or a digit string, plus its JSON document) and
-``_render`` turns that into the requested format. Exit codes: 0 success,
-1 domain/infeasible errors, 2 usage errors, including an unreadable
-``--digits-file`` or an unwritable ``--out``. Errors are one-line and
-machine-parsable with the prefixes ``error: usage:``, ``error: domain:``,
-``error: infeasible:``.
+``(field, value)`` pairs, a digit string or text the library rendered,
+plus its JSON document) and ``_render`` turns that into the requested
+format. Exit codes: 0 success, 1 domain/infeasible errors, 2 usage
+errors, including an unreadable ``--digits-file`` or an unwritable
+``--out``. Errors are one-line and machine-parsable with the prefixes
+``error: usage:``, ``error: domain:``, ``error: infeasible:``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _read_digit_text(path: str | None) -> str:
             return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.end]
         raise DomainError(f"invalid digit character {bad!r}: the input is not UTF-8") from None

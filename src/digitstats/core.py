@@ -162,9 +162,10 @@ class RadixExpansion:
 def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     """Expand p/q in [0, 1) by exact long division.
 
-    The preperiod has one digit for each time the base's primes must be
-    divided out of the reduced denominator; after it, the remainders
-    cycle, and the period ends where its first remainder recurs. This
+    The preperiod has one digit for each time the reduced denominator
+    must be divided by its gcd with the base before the two are coprime;
+    after it the remainders cycle, and the period ends where its first
+    remainder recurs. This
     yields the canonical form directly: the preperiod is minimal, the
     period is primitive, and a reduced denominator whose primes all divide
     the base terminates with period ``(0,)``. Each of the preperiod and

@@ -271,6 +271,11 @@ def test_text_to_digits_rejects_anything_but_ascii_digits(text, base):
         text_to_digits(text, base)
 
 
+def test_text_to_digits_rejects_overlong_token():
+    with pytest.raises(DomainError, match="too long"):
+        text_to_digits("1" * 5000, 16)
+
+
 def test_text_to_digits_leaves_range_to_the_stream():
     digits = text_to_digits("0150", 3)
     assert digits == (0, 1, 5, 0)
