@@ -74,6 +74,11 @@ def test_running_stats_truncation():
     assert [(r.n, r.truncated) for r in rows] == [(3, False), (5, True)]
 
 
+def test_running_stats_rejects_bad_digits():
+    with pytest.raises(DomainError, match="digit 3 out of range"):
+        running_stats(DigitStream.from_function(lambda n: 3, 3, length=5), [2, 5])
+
+
 def test_running_stats_checkpoint_validation():
     stream = DigitStream.constant(0, 2)
     for bad in ([], [0, 2], [3, 3], [5, 2]):
