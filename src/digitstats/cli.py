@@ -35,6 +35,7 @@ from .rationals import decimal_str, parse_rational, ratio_str
 from .simulate import ExperimentConfig, normality_experiment, summary_to_json
 from .stats import (
     FrequencyProfile,
+    _csv_text,
     geometric_checkpoints,
     running_stats,
     stats_table,
@@ -138,11 +139,11 @@ def _render(output: _Output, fmt: str) -> str:
     if isinstance(data, _Table):
         lines = [list(data.header), *([str(cell) for cell in row] for row in data.rows)]
         if fmt == "csv":
-            return "".join(",".join(line) + "\n" for line in lines)
+            return _csv_text(lines)
         widths = [max(map(len, column)) for column in zip(*lines)]
         return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
     if fmt == "csv":
-        return "field,value\n" + "".join(f"{field},{value}\n" for field, value in data)
+        return _csv_text([("field", "value"), *data])
     return "".join(f"{field}: {value}\n" for field, value in data)
 
 

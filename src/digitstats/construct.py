@@ -25,8 +25,6 @@ division.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -51,7 +49,6 @@ __all__ = [
     "block_digit_stream",
     "block_boundaries",
     "blockspec_table",
-    "blockspec_to_csv",
     "no_mean_example",
     "no_mean_zero_run_ends",
     "no_mean_one_run_ends",
@@ -360,16 +357,6 @@ def blockspec_table(spec: BlockSpec) -> tuple[list[str], list[list]]:
         for k, (alpha, (zeros, ones, twos)) in enumerate(zip(spec.alphas, spec.rows), start=1)
     ]
     return ["k", "a_k1", "a_k2", "a_k3", "alpha_k"], rows
-
-
-def blockspec_to_csv(spec: BlockSpec) -> str:
-    """CSV of :func:`blockspec_table`."""
-    header, rows = blockspec_table(spec)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def no_mean_example(count: int) -> list[int]:

@@ -324,14 +324,17 @@ def stats_table(
     return header, body
 
 
+def _csv_text(lines: Iterable[Sequence[object]]) -> str:
+    """CSV with ``\n`` line ends; cells holding commas or quotes are quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue()
+
+
 def stats_to_csv(rows: Sequence[PartialStats]) -> str:
     """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag."""
     header, body = stats_table(rows)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(body)
-    return out.getvalue()
+    return _csv_text([header, *body])
 
 
 def stats_to_json(rows: Sequence[PartialStats]) -> str:

@@ -15,7 +15,7 @@ from digitstats import (
     beatty_indicator,
     block_boundaries,
     block_digit_stream,
-    blockspec_to_csv,
+    blockspec_table,
     build_oscillating_schedule,
     construct_mean_without_frequency,
     floor_weighted_average,
@@ -285,11 +285,11 @@ def test_blockspec_validation():
         BlockSpec(theta=F(1), alphas=(F(2, 5), F(2, 5)), rows=((0, 0, 0),))
 
 
-def test_blockspec_csv():
+def test_blockspec_table():
     spec, _ = construct_mean_without_frequency(1, F(1, 5), F(2, 5), F(1, 20), 3)
-    lines = blockspec_to_csv(spec).strip().split("\n")
-    assert lines[0] == "k,a_k1,a_k2,a_k3,alpha_k"
-    assert lines[3] == "3,1,0,1,2/5"
+    header, rows = blockspec_table(spec)
+    assert header == ["k", "a_k1", "a_k2", "a_k3", "alpha_k"]
+    assert rows[2] == [3, 1, 0, 1, "2/5"]
 
 
 def test_no_mean_example_prefix():

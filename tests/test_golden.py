@@ -10,6 +10,7 @@ output change is intended: ``python tests/test_golden.py``.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import sys
 from pathlib import Path
@@ -85,6 +86,12 @@ def test_golden_output(name):
         assert out == ""
         assert code == int((GOLDEN / f"{name}.code").read_text())
         assert err == (GOLDEN / f"{name}.err").read_text()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*-csv.out")), ids=lambda path: path.stem)
+def test_golden_csv_is_rectangular(path):
+    widths = {len(row) for row in csv.reader(io.StringIO(path.read_text()))}
+    assert len(widths) == 1
 
 
 def write_goldens() -> None:
