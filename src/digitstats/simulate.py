@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -168,6 +167,9 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
     if workers == 1:
         r_values = [_trial_mean(cfg.base, cfg.depth, seed) for seed in seeds]
     else:
+        # imported here: it is the package's slowest import and only this branch uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             r_values = list(

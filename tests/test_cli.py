@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digitstats
 from digitstats import no_mean_example, quota_construct, FrequencyProfile
 from digitstats.cli import run_cli
 
@@ -288,3 +293,11 @@ def test_stats_non_utf8_or_non_ascii_file_is_domain(capsys, tmp_path, data):
     code, out, err = run(capsys, ["stats", "--base", "10", "--digits-file", str(digit_file)])
     assert (code, out) == (1, "")
     assert err.startswith("error: domain: invalid digit character") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only `simulate --workers` above 1 needs the process pool machinery
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    code = "import sys, digitstats.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

@@ -151,7 +151,7 @@ class RecordingExecutor:
     [(1000, 3, 4, [3]), (1000, 50, 4, [4]), (3, 50, 8, [3]), (1000, 50, None, []), (2, 1, 8, [])],
 )
 def test_workers_capped_by_trials_and_cpus(monkeypatch, workers, trials, cpus, built):
-    monkeypatch.setattr("digitstats.simulate.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr("digitstats.simulate.os.cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingExecutor, "built", [])
     cfg = ExperimentConfig(base=3, depth=20, trials=trials, master_seed=9)
