@@ -307,5 +307,8 @@ def parse_expansion(text: str) -> RadixExpansion:
     if match is None:
         raise DomainError(f"cannot parse expansion {text!r}")
     pre_text, per_text, base_text = match.groups()
-    b = int(base_text)
+    try:
+        b = int(base_text)
+    except ValueError:  # longer than int() reads
+        raise DomainError("expansion base too long") from None
     return RadixExpansion(b, text_to_digits(pre_text, b), text_to_digits(per_text, b))

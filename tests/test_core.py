@@ -276,6 +276,11 @@ def test_text_to_digits_rejects_overlong_token():
         text_to_digits("1" * 5000, 16)
 
 
+def test_parse_expansion_rejects_overlong_base():
+    with pytest.raises(DomainError, match="too long"):
+        parse_expansion("0.(1)_" + "9" * 5000)
+
+
 def test_text_to_digits_leaves_range_to_the_stream():
     digits = text_to_digits("0150", 3)
     assert digits == (0, 1, 5, 0)
