@@ -266,28 +266,24 @@ def classify_limit(
     return Undetermined(depth=tail[-1][0])
 
 
-def geometric_checkpoints(start: int, factor, max_depth: int, extra: Iterable[int] = ()) -> list[int]:
+def geometric_checkpoints(start: int, factor, max_depth: int) -> list[int]:
     """Depths start, start*factor, ... capped at and including max_depth.
 
     Geometric spacing matches phenomena whose breakpoints grow by a
-    constant ratio; `extra` merges caller-supplied special depths.
+    constant ratio.
     """
     factor = coerce_rational(factor)
     if start < 1 or max_depth < start:
         raise DomainError(f"need 1 <= start <= max_depth, got start={start}, max_depth={max_depth}")
     if factor <= 1:
         raise DomainError(f"factor must exceed 1, got {factor}")
-    depths = set()
-    current = Fraction(start)
-    while current <= max_depth:
-        depths.add(current.numerator // current.denominator)
-        current *= factor
-    depths.add(max_depth)
-    for depth in extra:
-        if not isinstance(depth, int) or depth < 1:
-            raise DomainError(f"extra checkpoint {depth!r} must be an integer >= 1")
-        if depth <= max_depth:
-            depths.add(depth)
+    # start*factor^k as an unreduced num/den: no gcd per step
+    num, den = start, 1
+    depths = {max_depth}
+    while num <= max_depth * den:
+        depths.add(num // den)
+        num *= factor.numerator
+        den *= factor.denominator
     return sorted(depths)
 
 

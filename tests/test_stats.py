@@ -230,11 +230,26 @@ def test_geometric_checkpoints():
     assert geometric_checkpoints(10, 2, 100) == [10, 20, 40, 80, 100]
     assert geometric_checkpoints(10, 2, 80) == [10, 20, 40, 80]
     assert geometric_checkpoints(4, Fraction(3, 2), 20) == [4, 6, 9, 13, 20]
-    assert geometric_checkpoints(10, 2, 50, extra=[15, 999]) == [10, 15, 20, 40, 50]
     with pytest.raises(DomainError):
         geometric_checkpoints(10, 1, 100)
     with pytest.raises(DomainError):
         geometric_checkpoints(0, 2, 100)
+
+
+def fraction_checkpoints(start, factor, max_depth):
+    """Reference: the geometric depths from a reduced Fraction, step by step."""
+    depths = {max_depth}
+    current = Fraction(start)
+    while current <= max_depth:
+        depths.add(current.numerator // current.denominator)
+        current *= Fraction(factor)
+    return sorted(depths)
+
+
+@pytest.mark.parametrize("factor", ["1001/1000", "11/10", "3/2", "2", "7/3", "10"])
+@pytest.mark.parametrize("start", [1, 3, 50])
+def test_geometric_checkpoints_match_fraction_steps(start, factor):
+    assert geometric_checkpoints(start, factor, 2000) == fraction_checkpoints(start, factor, 2000)
 
 
 def test_stats_csv_layout():
