@@ -25,10 +25,10 @@ division.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, cycle, repeat
 from math import lcm
 from typing import Iterator
 
@@ -187,15 +187,7 @@ class OscillationSchedule:
 
     def values(self) -> Iterator[Fraction]:
         """All values for positions 1..horizon in order."""
-        previous = 0
-        value = self.x1
-        for end in self.breakpoints:
-            for _ in range(previous, end):
-                yield value
-            previous = end
-            value = self.x2 if value == self.x1 else self.x1
-        for _ in range(previous, self.horizon):
-            yield value
+        return map(self.value_at, range(1, self.horizon + 1))
 
 
 def build_oscillating_schedule(x1, x2, epsilon, horizon: int) -> OscillationSchedule:
@@ -257,25 +249,23 @@ class BlockSpec:
     Row k (1-based) is ([k*alpha_k], [k*beta_k], [k*gamma_k]): the counts
     of digits 0, 1, 2 emitted by block k, where beta_k = 2 - 2*alpha_k -
     theta and gamma_k = alpha_k - 1 + theta, so that alpha+beta+gamma = 1
-    and beta + 2*gamma = theta identically. Rows are validated against
-    those formulas on construction; zero-length runs are allowed.
+    and beta + 2*gamma = theta identically. The rows are derived from
+    theta and the alphas on construction; zero-length runs are allowed.
     """
 
     theta: Fraction
     alphas: tuple[Fraction, ...]
-    rows: tuple[tuple[int, int, int], ...]
+    rows: tuple[tuple[int, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.alphas) != len(self.rows):
-            raise DomainError("one alpha is required per row")
-        for k, (alpha, row) in enumerate(zip(self.alphas, self.rows), start=1):
+        rows = []
+        for k, alpha in enumerate(self.alphas, start=1):
             beta = 2 - 2 * alpha - self.theta
             gamma = alpha - 1 + self.theta
             if beta < 0 or gamma < 0 or alpha < 0:
                 raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
-            expected = (_floor(k * alpha), _floor(k * beta), _floor(k * gamma))
-            if tuple(row) != expected:
-                raise DomainError(f"block {k}: row {row} does not match floors {expected}")
+            rows.append((_floor(k * alpha), _floor(k * beta), _floor(k * gamma)))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def blocks(self) -> int:
@@ -317,37 +307,24 @@ def construct_mean_without_frequency(
     if blocks < 1:
         raise DomainError(f"blocks must be >= 1, got {blocks}")
     schedule = build_oscillating_schedule(x1, x2, epsilon, horizon=blocks)
-    alphas = tuple(schedule.values())
-    rows = []
-    for k, alpha in enumerate(alphas, start=1):
-        beta = 2 - 2 * alpha - theta
-        gamma = alpha - 1 + theta
-        rows.append((_floor(k * alpha), _floor(k * beta), _floor(k * gamma)))
-    spec = BlockSpec(theta=theta, alphas=alphas, rows=tuple(rows))
+    spec = BlockSpec(theta=theta, alphas=tuple(schedule.values()))
     return spec, block_digit_stream(spec)
 
 
 def block_digit_stream(spec: BlockSpec) -> DigitStream:
     """The ternary stream emitting each block's zeros, then ones, then twos."""
-    total = sum(z + o + t for z, o, t in spec.rows)
+    run_lengths = tuple(chain.from_iterable(spec.rows))
 
     def factory() -> Iterator[int]:
-        for zeros, ones, twos in spec.rows:
-            yield from itertools.repeat(0, zeros)
-            yield from itertools.repeat(1, ones)
-            yield from itertools.repeat(2, twos)
+        # runs repeat(0, zeros), repeat(1, ones), repeat(2, twos) per block
+        return chain.from_iterable(map(repeat, cycle((0, 1, 2)), run_lengths))
 
-    return DigitStream(3, factory, total)
+    return DigitStream(3, factory, sum(run_lengths))
 
 
 def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:
     """Cumulative digit depth at the end of each block."""
-    depths = []
-    depth = 0
-    for zeros, ones, twos in spec.rows:
-        depth += zeros + ones + twos
-        depths.append(depth)
-    return tuple(depths)
+    return tuple(accumulate(map(sum, spec.rows)))
 
 
 def blockspec_table(spec: BlockSpec) -> tuple[list[str], list[list]]:
@@ -378,25 +355,22 @@ def no_mean_example(count: int) -> list[int]:
     return digits[:count]
 
 
-def no_mean_zero_run_ends(max_depth: int) -> list[int]:
-    """Depths 3*2^m - 2 ending each 0-run, up to max_depth."""
+def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:
+    """Depths c*2^m - 2 for m = 0, 1, ..., up to max_depth."""
     if max_depth < 1:
         raise DomainError(f"max_depth must be >= 1, got {max_depth}")
     depths = []
-    m = 0
-    while 3 * (1 << m) - 2 <= max_depth:
-        depths.append(3 * (1 << m) - 2)
-        m += 1
+    while c - 2 <= max_depth:
+        depths.append(c - 2)
+        c *= 2
     return depths
+
+
+def no_mean_zero_run_ends(max_depth: int) -> list[int]:
+    """Depths 3*2^m - 2 ending each 0-run, up to max_depth."""
+    return _no_mean_run_ends(3, max_depth)
 
 
 def no_mean_one_run_ends(max_depth: int) -> list[int]:
     """Depths 2^(m+2) - 2 ending each 1-run, up to max_depth."""
-    if max_depth < 1:
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
-    depths = []
-    m = 0
-    while 4 * (1 << m) - 2 <= max_depth:
-        depths.append(4 * (1 << m) - 2)
-        m += 1
-    return depths
+    return _no_mean_run_ends(4, max_depth)

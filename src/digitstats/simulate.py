@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -96,10 +97,8 @@ def uniform_digit_trial(base: int, depth: int, seed: int) -> PartialStats:
     """Depth-`depth` statistics of one seeded uniform digit stream."""
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    counts = [0] * base
-    for digit in uniform_digits(base, depth, seed):
-        counts[digit] += 1
-    return PartialStats(base, depth, tuple(counts))
+    counts = Counter(uniform_digits(base, depth, seed))
+    return PartialStats(base, depth, tuple(counts[d] for d in range(base)))
 
 
 @dataclass(frozen=True)

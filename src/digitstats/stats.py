@@ -14,8 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import ceil
+from operator import index
 from typing import Iterable, Sequence, Union
 
 from .core import DigitStream, RadixExpansion
@@ -135,27 +139,29 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
         raise DomainError(f"checkpoints must be strictly ascending, got {marks}")
 
     base = stream.base
-    counts = [0] * base
+    digits = iter(stream)
+    counts: Counter[int] = Counter()
+    checked = 0  # how many of the digit values in counts are range-checked
     rows: list[PartialStats] = []
-    next_mark = 0
-    n = 0
-    for digit in stream:
-        if not 0 <= digit < base:
-            raise DomainError(f"digit {digit!r} out of range for base {base}")
-        counts[digit] += 1
-        n += 1
-        if n == marks[next_mark]:
-            rows.append(PartialStats(base, n, tuple(counts)))
-            next_mark += 1
-            if next_mark == len(marks):
-                return rows
-    # stream exhausted with checkpoints unserved
-    if rows and rows[-1].n == n:
-        rows[-1] = replace(rows[-1], truncated=True)
-        return rows
-    if n == 0:
-        raise DomainError("stream produced no digits")
-    rows.append(PartialStats(base, n, tuple(counts), truncated=True))
+    for mark in marks:
+        n = counts.total()
+        try:
+            counts.update(map(index, islice(digits, mark - n)))
+        except TypeError as exc:
+            raise DomainError(f"the digit at depth {counts.total() + 1} is not an integer: {exc}") from exc
+        # only new digit values need a range check; counts lists them in first-seen order
+        for digit in islice(counts, checked, None):
+            if not 0 <= digit < base:
+                raise DomainError(f"digit {digit!r} out of range for base {base}")
+        checked = len(counts)
+        depth = counts.total()
+        if depth == n:  # no digit since the previous checkpoint: the stream ended there
+            if not rows:
+                raise DomainError("stream produced no digits")
+            rows.pop()
+        rows.append(PartialStats(base, depth, tuple(counts[d] for d in range(base)), depth < mark))
+        if depth < mark:
+            break
     return rows
 
 
@@ -170,11 +176,8 @@ def exact_frequencies_rational(expansion: RadixExpansion) -> FrequencyProfile:
     Preperiod digits are finitely many and do not affect the limit, so
     tau_i is the share of digit i within one period.
     """
-    length = len(expansion.period)
-    tau = tuple(
-        Fraction(sum(1 for d in expansion.period if d == i), length)
-        for i in range(expansion.base)
-    )
+    counts = Counter(expansion.period)
+    tau = tuple(Fraction(counts[i], len(expansion.period)) for i in range(expansion.base))
     return FrequencyProfile(expansion.base, tau)
 
 
@@ -198,10 +201,6 @@ def solve_ternary_system(v0, r) -> tuple[Fraction, Fraction]:
     if not 0 <= v2 <= 1:
         raise Infeasible(f"no ternary frequency vector has v0={v0}, r={r}: v2={v2} is outside [0, 1]")
     return v1, v2
-
-
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
 
 
 def classify_limit(
@@ -234,7 +233,7 @@ def classify_limit(
     if len(points) < 4:
         return Undetermined(depth=depths[-1] if depths else 0)
 
-    tail_len = max(2, min(len(points), _ceil_fraction(tail_fraction * len(points))))
+    tail_len = max(2, min(len(points), ceil(tail_fraction * len(points))))
     tail = points[-tail_len:]
     lo = min(value for _, value in tail)
     hi = max(value for _, value in tail)

@@ -279,10 +279,13 @@ def test_block_boundaries_cumulative():
 
 
 def test_blockspec_validation():
-    with pytest.raises(DomainError):
-        BlockSpec(theta=F(1), alphas=(F(2, 5),), rows=((1, 1, 1),))
-    with pytest.raises(DomainError):
-        BlockSpec(theta=F(1), alphas=(F(2, 5), F(2, 5)), rows=((0, 0, 0),))
+    assert BlockSpec(theta=F(1), alphas=(F(2, 5), F(1, 5))).rows == ((0, 0, 0), (0, 1, 0))
+    with pytest.raises(DomainError, match="negative"):
+        BlockSpec(theta=F(1), alphas=(F(2, 5), F(3, 5)))  # beta_2 = -1/5
+    with pytest.raises(DomainError, match="negative"):
+        BlockSpec(theta=F(1, 2), alphas=(F(1, 5),))  # gamma_1 = -3/10
+    with pytest.raises(TypeError):
+        BlockSpec(theta=F(1), alphas=(F(2, 5),), rows=((0, 0, 0),))  # rows are derived
 
 
 def test_blockspec_table():

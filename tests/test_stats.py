@@ -77,6 +77,33 @@ def test_running_stats_truncation():
 def test_running_stats_rejects_bad_digits():
     with pytest.raises(DomainError, match="digit 3 out of range"):
         running_stats(DigitStream.from_function(lambda n: 3, 3, length=5), [2, 5])
+    with pytest.raises(DomainError, match="depth 2 is not an integer"):
+        running_stats(DigitStream.from_function(lambda n: 1 if n == 1 else 1.0, 3, length=5), [5])
+    # the first bad digit of the stream is named, even behind a later one in the same gap
+    digits = [0, 1, 7, 2, 5]
+    with pytest.raises(DomainError, match="digit 7 out of range"):
+        running_stats(DigitStream.from_function(lambda n: digits[n - 1], 3, length=5), [1, 5])
+
+
+def reference_stats(digits, base, marks):
+    """Reference: (n, counts, truncated) of each row, counted prefix by prefix."""
+    served = [m for m in marks if m <= len(digits)]
+    rows = [(m, tuple(digits[:m].count(d) for d in range(base)), False) for m in served]
+    if len(served) < len(marks):
+        if served and served[-1] == len(digits):
+            rows.pop()
+        rows.append((len(digits), tuple(digits.count(d) for d in range(base)), True))
+    return rows
+
+
+def test_running_stats_matches_prefix_counts():
+    rng = random.Random(3)
+    for _ in range(200):
+        base = rng.choice([2, 3, 7])
+        digits = [rng.randrange(base) for _ in range(rng.randint(1, 40))]
+        marks = sorted(rng.sample(range(1, 50), rng.randint(1, 8)))
+        rows = running_stats(DigitStream.from_digits(digits, base), marks)
+        assert [(r.n, r.counts, r.truncated) for r in rows] == reference_stats(digits, base, marks)
 
 
 def test_running_stats_checkpoint_validation():
