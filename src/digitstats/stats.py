@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,7 +147,8 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     for mark in marks:
         n = counts.total()
         try:
-            counts.update(map(index, islice(digits, mark - n)))
+            # islice takes at most sys.maxsize; no stream is ever read that far
+            counts.update(map(index, islice(digits, min(mark - n, sys.maxsize))))
         except TypeError as exc:
             raise DomainError(f"the digit at depth {counts.total() + 1} is not an integer: {exc}") from exc
         # only new digit values need a range check; counts lists them in first-seen order
@@ -257,9 +259,8 @@ def classify_limit(
                 runs[-1] = (side, depth, value)
         else:
             runs.append((side, depth, value))
-    high_runs = sum(1 for side, _, _ in runs if side == "high")
-    low_runs = len(runs) - high_runs
-    if high_runs >= 2 and low_runs >= 2:
+    sides = Counter(side for side, _, _ in runs)
+    if sides["high"] >= 2 and sides["low"] >= 2:
         witnesses = tuple(sorted(depth for _, depth, _ in runs))
         return Oscillating(liminf_estimate=lo, limsup_estimate=hi, witness_depths=witnesses)
     return Undetermined(depth=tail[-1][0])

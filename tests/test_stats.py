@@ -72,6 +72,8 @@ def test_running_stats_truncation():
     # exhaustion exactly at a checkpoint flags that checkpoint instead
     rows = running_stats(stream, [3, 5, 10])
     assert [(r.n, r.truncated) for r in rows] == [(3, False), (5, True)]
+    rows = running_stats(stream, [3, 2**64])
+    assert [(r.n, r.truncated) for r in rows] == [(3, False), (5, True)]
 
 
 def test_running_stats_rejects_bad_digits():
