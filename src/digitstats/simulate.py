@@ -166,7 +166,7 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
     if workers == 1:
         r_values = [_trial_mean(cfg.base, cfg.depth, seed) for seed in seeds]
     else:
-        # imported here: it is the package's slowest import and only this branch uses it
+        # imported here so that runs without a process pool do not pay for its import
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.trials // (4 * workers))
