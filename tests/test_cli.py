@@ -106,6 +106,19 @@ def test_stats_geometric_checkpoints(capsys, monkeypatch):
     assert [row["n"] for row in rows] == [10, 20, 40, 80, 100]
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("geometric:10,1,100", "error: domain: factor must exceed 1, got 1\n"),
+        ("geometric:50,2,10", "error: domain: need 1 <= start <= max_depth, got start=50, max_depth=10\n"),
+    ],
+)
+def test_stats_geometric_checkpoints_domain_error(capsys, monkeypatch, spec, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0" * 100))
+    code, out, err = run(capsys, ["stats", "--base", "2", "--checkpoints", spec])
+    assert (code, out, err) == (1, "", message)
+
+
 def test_stats_rejects_bad_digit(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0102"))
     code, _, err = run(capsys, ["stats", "--base", "2"])
