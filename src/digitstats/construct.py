@@ -28,8 +28,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
+from operator import mul
 from typing import Iterator
 
 from .core import DigitStream
@@ -345,14 +346,9 @@ def no_mean_example(count: int) -> list[int]:
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    digits: list[int] = []
-    m = 0
-    while len(digits) < count:
-        run = 1 << m
-        digits.extend([0] * run)
-        digits.extend([1] * run)
-        m += 1
-    return digits[:count]
+    lengths = accumulate(cycle((1, 2)), mul, initial=1)  # 1, 1, 2, 2, 4, 4, ...
+    runs = map(repeat, cycle((0, 1)), lengths)
+    return list(islice(chain.from_iterable(runs), count))
 
 
 def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:

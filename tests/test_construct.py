@@ -1,6 +1,8 @@
 """Tests for the digit-stream constructors."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -298,6 +300,34 @@ def test_blockspec_table():
 def test_no_mean_example_prefix():
     assert no_mean_example(6) == [0, 1, 0, 0, 1, 1]
     assert no_mean_example(14) == [0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def no_mean_reference(count):
+    """The no-mean example built run by run: 2^m zeros, then 2^m ones."""
+    digits = []
+    m = 0
+    while len(digits) < count:
+        digits += [0] * 2**m + [1] * 2**m
+        m += 1
+    return digits[:count]
+
+
+def test_no_mean_example_matches_run_by_run_reference():
+    counts = list(range(1, 301))
+    counts += [2**k + d for k in range(2, 22) for d in range(-3, 3)]
+    reference = no_mean_reference(max(counts))
+    for count in counts:
+        assert no_mean_example(count) == reference[:count], count
+
+
+def test_no_mean_example_holds_only_its_result():
+    tracemalloc.start()
+    try:
+        digits = no_mean_example(2**20 + 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sys.getsizeof(digits)
 
 
 def test_no_mean_run_end_means():
