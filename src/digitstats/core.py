@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -103,22 +103,20 @@ class DigitStream:
         length: int | None = None,
     ) -> "DigitStream":
         """Stream whose digit at 1-based position n is position_to_digit(n)."""
-        b = _check_base(base)
 
         def factory() -> Iterator[int]:
             positions = itertools.count(1) if length is None else range(1, length + 1)
-            return (position_to_digit(n) for n in positions)
+            return map(position_to_digit, positions)
 
-        return cls(b, factory, length)
+        return cls(base, factory, length)
 
     @classmethod
     def from_expansion(cls, expansion: "RadixExpansion") -> "DigitStream":
         """Unbounded stream: the preperiod once, then the period forever."""
 
         def factory() -> Iterator[int]:
-            yield from expansion.preperiod
-            while True:
-                yield from expansion.period
+            periods = itertools.chain.from_iterable(itertools.repeat(expansion.period))
+            return itertools.chain(expansion.preperiod, periods)
 
         return cls(expansion.base, factory, None)
 
@@ -152,8 +150,10 @@ class RadixExpansion:
         if all(d == b - 1 for d in self.period):
             raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
         n = len(self.period)
-        for width in range(1, n // 2 + 1):
-            if n % width == 0 and self.period == self.period[:width] * (n // width):
+        divisors = [w for w in range(1, isqrt(n) + 1) if n % w == 0]
+        divisors += [n // w for w in reversed(divisors) if w * w != n]  # ascending, ends with n
+        for width in divisors[:-1]:
+            if self.period == self.period[:width] * (n // width):
                 raise DomainError(f"period {self.period} is a repetition of {self.period[:width]}")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")

@@ -117,12 +117,19 @@ def test_expand_rational_bad_base():
         ((), (2,)),  # all base-1
         ((), (2, 2)),
         ((), (0, 1, 0, 1)),  # not primitive
+        ((), (0, 1) * 360),
         ((1,), (2, 1)),  # absorbable suffix
     ],
 )
 def test_expansion_canonical_invariants_enforced(preperiod, period):
     with pytest.raises(DomainError):
         RadixExpansion(3, preperiod, period)
+
+
+def test_expansion_primitivity_names_shortest_repeating_word():
+    with pytest.raises(DomainError, match=r"is a repetition of \(0, 1\)$"):
+        RadixExpansion(3, (), (0, 1) * 6)
+    assert len(RadixExpansion(3, (), (1,) + (0,) * 719).period) == 720
 
 
 def test_expand_rational_matches_long_division_oracle():
@@ -186,10 +193,24 @@ def test_digit_stream_constant_and_function():
     assert parity.length == 5
 
 
-def test_digit_stream_from_expansion():
-    stream = DigitStream.from_expansion(expand_rational(5, 6, 3))
-    assert stream.take(6) == [2, 1, 1, 1, 1, 1]
+@pytest.mark.parametrize(
+    "p,q,base,digits",
+    [
+        (5, 6, 3, "211111"),
+        (1, 14, 10, "0714285714285714285714"),  # 0.0(714285): three periods and more
+    ],
+)
+def test_digit_stream_from_expansion(p, q, base, digits):
+    stream = DigitStream.from_expansion(expand_rational(p, q, base))
+    assert stream.take(len(digits)) == list(text_to_digits(digits, base))
     assert stream.length is None
+
+
+def test_digit_stream_from_function_calls_once_per_digit():
+    positions = []
+    stream = DigitStream.from_function(lambda n: positions.append(n) or n % 2, 2)
+    assert stream.take(5) == [1, 0, 1, 0, 1]
+    assert positions == [1, 2, 3, 4, 5]
 
 
 def test_with_prefix_identity_and_concatenation():
