@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construct import (
     beatty_construct,
@@ -67,13 +67,19 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _checkpoint_spec(text: str):
+def _checkpoint_spec(text: str) -> Callable[[], list[int]]:
+    """Parse a spec into a function computing its depths.
+
+    The handler calls it, so a DomainError from the library exits 1 while a
+    malformed spec is still an argparse usage error (exit 2).
+    """
     kind, _, rest = text.partition(":")
     if kind == "geometric":
         parts = rest.split(",")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected geometric:start,factor,max")
-        return ("geometric", int(parts[0]), parse_rational(parts[1]), int(parts[2]))
+        start, factor, max_depth = int(parts[0]), parse_rational(parts[1]), int(parts[2])
+        return lambda: geometric_checkpoints(start, factor, max_depth)
     if kind == "list":
         try:
             depths = sorted({int(p) for p in rest.split(",") if p.strip() != ""})
@@ -81,15 +87,8 @@ def _checkpoint_spec(text: str):
             raise argparse.ArgumentTypeError("expected list:n1,n2,...") from None
         if not depths:
             raise argparse.ArgumentTypeError("expected at least one depth")
-        return ("list", depths)
+        return lambda: depths
     raise argparse.ArgumentTypeError("expected geometric:start,factor,max or list:n1,n2,...")
-
-
-def _resolve_checkpoints(spec) -> list[int]:
-    if spec[0] == "geometric":
-        _, start, factor, max_depth = spec
-        return geometric_checkpoints(start, factor, max_depth)
-    return spec[1]
 
 
 def _read_digit_text(path: str | None) -> str:
@@ -185,7 +184,7 @@ def _cmd_stats(args) -> _Output:
             raise DomainError("no digits in input")
         marks = [len(digits)]
     else:
-        marks = _resolve_checkpoints(args.checkpoints)
+        marks = args.checkpoints()
     rows = running_stats(stream, marks)
     return _Output(
         json=lambda: stats_to_json(rows),
