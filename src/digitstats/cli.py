@@ -68,11 +68,7 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _checkpoint_spec(text: str) -> Callable[[], list[int]]:
-    """Parse a spec into a function computing its depths.
-
-    The handler calls it, so a DomainError from the library exits 1 while a
-    malformed spec is still an argparse usage error (exit 2).
-    """
+    """Parse a spec into a function the handler calls, so library errors exit 1, not 2."""
     kind, _, rest = text.partition(":")
     if kind == "geometric":
         parts = rest.split(",")
