@@ -35,7 +35,7 @@ from typing import Iterator
 
 from .core import DigitStream
 from .errors import DomainError, Infeasible
-from .rationals import coerce_rational, ratio_str
+from .rationals import coerce_index, coerce_rational, ratio_str
 from .stats import FrequencyProfile
 
 __all__ = [
@@ -85,6 +85,7 @@ def beatty_construct(a, b, count: int) -> list[int]:
     b = coerce_rational(b)
     if a < 0 or b < 0 or a + b > 1:
         raise DomainError(f"need a >= 0, b >= 0, a + b <= 1, got a={a}, b={b}")
+    count = coerce_index(count, "count")
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
     ap, aq = a.numerator, a.denominator
@@ -344,6 +345,7 @@ def no_mean_example(count: int) -> list[int]:
     returns to exactly 1/2 at the end of each 1-run, so it has no limit
     even though a mean is the weakest digit statistic.
     """
+    count = coerce_index(count, "count")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     lengths = accumulate(cycle((1, 2)), mul, initial=1)  # 1, 1, 2, 2, 4, 4, ...

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import index
 
 from .errors import DomainError
 
@@ -51,6 +52,14 @@ def coerce_rational(value) -> Fraction:
     if isinstance(value, float):
         return parse_rational(repr(value))
     raise DomainError(f"cannot interpret {value!r} as a rational")
+
+
+def coerce_index(value, name: str) -> int:
+    """`value` as an exact int (through `operator.index`), else DomainError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def ratio_str(value: Fraction) -> str:

@@ -235,6 +235,14 @@ def test_simulate_json_deterministic(capsys):
     assert len(payload["per_trial"]) == 6
 
 
+@pytest.mark.parametrize("base", [str(2**64 + 1), str(10**30)])
+def test_simulate_rejects_base_above_2_64(capsys, base):
+    # such a base leaves no 64-bit draw acceptable; it used to loop forever
+    code, out, err = run(capsys, ["simulate", "--base", base, "--n", "10", "--trials", "2", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err == f"error: domain: base must be <= 2**64 (one 64-bit draw per digit), got {base}\n"
+
+
 def test_simulate_table(capsys):
     code, out, _ = run(
         capsys,

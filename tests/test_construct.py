@@ -83,6 +83,9 @@ def test_beatty_construct_zero_count_bound():
 def test_beatty_construct_validation():
     with pytest.raises(DomainError):
         beatty_construct(F(2, 3), F(2, 3), 5)
+    for count in (2.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            beatty_construct(F(1, 3), F(1, 3), count)
 
 
 def test_quota_construct_known_values():
@@ -348,6 +351,9 @@ def test_no_mean_run_end_means():
 def test_no_mean_validation():
     with pytest.raises(DomainError):
         no_mean_example(0)
+    for count in (2.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            no_mean_example(count)
     with pytest.raises(DomainError):
         no_mean_zero_run_ends(0)
 

@@ -1,6 +1,10 @@
 """Tests for the reproducible Monte Carlo harness."""
 
 import json
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,7 @@ from digitstats import (
     uniform_digit_trial,
     uniform_digits,
 )
-from digitstats.simulate import GOLDEN_GAMMA, MASK64
+from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64
 
 
 def test_generator_reference_vectors():
@@ -46,11 +50,84 @@ def test_uniform_digits_roughly_uniform():
         assert abs(digits.count(i) / 30000 - 1 / 3) < 0.02
 
 
+class Index:
+    """An integer-like type that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_uniform_digits_validation():
     with pytest.raises(DomainError):
         uniform_digits(1, 10, seed=0)
     with pytest.raises(DomainError):
         uniform_digits(3, -1, seed=0)
+    # no 64-bit draw is accepted above 2**64; such bases used to loop forever
+    for base in (2**64 + 1, 2**65, 10**30):
+        with pytest.raises(DomainError, match=r"base must be <= 2\*\*64"):
+            uniform_digits(base, 1, seed=0)
+        with pytest.raises(DomainError, match=r"base must be <= 2\*\*64"):
+            uniform_digit_trial(base, 1, seed=0)
+    for base, count in ((3, 2.5), (3.5, 4), (3.0, 4), (3, "4")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            uniform_digits(base, count, seed=0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            uniform_digit_trial(base, count, seed=0)
+    assert uniform_digits(Index(3), Index(5), seed=4) == uniform_digits(3, 5, seed=4)
+
+
+def reference_digits(base, count, seed):
+    """The generator one draw at a time, straight from its definition."""
+    limit = (1 << 64) - (1 << 64) % base
+    digits = []
+    state = seed & MASK64
+    while len(digits) < count:
+        state = (state + GOLDEN_GAMMA) & MASK64
+        draw = mix64(state)
+        if draw < limit:
+            digits.append(draw % base)
+    return digits
+
+
+def test_stream_is_still_rejection_v1():
+    assert RNG_ID == "splitmix64-rejection-v1"
+    # digits the one-draw-at-a-time generator gave before the block kernel
+    assert uniform_digits(3, 6, seed=0) == [1, 0, 1, 1, 1, 0]
+    assert uniform_digits(10, 8, seed=MASK64) == [6, 9, 1, 2, 6, 5, 5, 6]
+
+
+# 2**63 + 1 and 3 * 2**62 reject about half and a quarter of all draws
+@pytest.mark.parametrize("base", [2, 3, 10, 2**63 + 1, 3 * 2**62, 2**64])
+@pytest.mark.parametrize("seed", [0, MASK64, trial_seed(2026, 17)])
+def test_block_kernel_matches_draw_by_draw_reference(base, seed):
+    counts = [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 7]
+    reference = reference_digits(base, max(counts), seed)
+    for count in counts:
+        assert uniform_digits(base, count, seed) == reference[:count], count
+        if base <= 10 and count:
+            trial = uniform_digit_trial(base, count, seed)
+            expected = Counter(reference[:count])
+            assert trial.counts == tuple(expected[d] for d in range(base)), count
+
+
+def test_trial_never_holds_its_digits():
+    tracemalloc.start()
+    try:
+        stats = uniform_digit_trial(3, 10**6, seed=trial_seed(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n == 10**6
+    assert peak < 2**20
+
+
+def test_lane_constants_are_built_on_first_use():
+    code = "import digitstats.simulate as s; print(s._lane_constants.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_trial_matches_digit_list():
@@ -83,6 +160,14 @@ def test_experiment_config_validation():
         ExperimentConfig(base=1, depth=10, trials=2, master_seed=0)
     with pytest.raises(DomainError):
         ExperimentConfig(base=3, depth=0, trials=2, master_seed=0)
+    with pytest.raises(DomainError, match=r"base must be <= 2\*\*64"):
+        ExperimentConfig(base=2**64 + 1, depth=10, trials=2, master_seed=0)
+    for base, depth, trials in ((3.0, 10, 2), (3, 10.5, 2), (3, 10, "2")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ExperimentConfig(base=base, depth=depth, trials=trials, master_seed=1)
+    cfg = ExperimentConfig(base=Index(3), depth=Index(10), trials=Index(2), master_seed=1)
+    assert (type(cfg.base), type(cfg.depth), type(cfg.trials)) == (int, int, int)
+    assert cfg == ExperimentConfig(base=3, depth=10, trials=2, master_seed=1)
 
 
 def test_single_trial_summary():
