@@ -29,7 +29,7 @@ from .construct import (
     no_mean_example,
     quota_construct,
 )
-from .core import DigitStream, digits_to_text, expand_rational, format_expansion, text_to_digits
+from .core import DigitStream, digits_to_text, expand_rational, format_expansion
 from .errors import DomainError, Infeasible
 from .rationals import decimal_str, parse_rational, ratio_str
 from .simulate import ExperimentConfig, normality_experiment, summary_to_json
@@ -85,18 +85,6 @@ def _checkpoint_spec(text: str) -> Callable[[], list[int]]:
             raise argparse.ArgumentTypeError("expected at least one depth")
         return lambda: depths
     raise argparse.ArgumentTypeError("expected geometric:start,factor,max or list:n1,n2,...")
-
-
-def _read_digit_text(path: str | None) -> str:
-    try:
-        if path is None or path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.end]
-        raise DomainError(f"invalid digit character {bad!r}: the input is not UTF-8") from None
 
 
 # ---------------------------------------------------------------- rendering
@@ -173,15 +161,24 @@ def _cmd_digits(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    digits = text_to_digits(_read_digit_text(args.digits_file), args.base)
-    stream = DigitStream.from_digits(digits, args.base)
-    if args.checkpoints is None:
-        if not digits:
-            raise DomainError("no digits in input")
-        marks = [len(digits)]
-    else:
-        marks = args.checkpoints()
-    rows = running_stats(stream, marks)
+    path = None if args.digits_file == "-" else args.digits_file
+    try:
+        if path is None:  # stdin is read whole, as text
+            stream = DigitStream.from_text(sys.stdin.read(), args.base)
+        else:
+            stream = DigitStream.from_file(path, args.base)
+        if args.checkpoints is None:
+            if not stream.length:
+                raise DomainError("no digits in input")
+            marks = [stream.length]
+        else:
+            marks = args.checkpoints()
+        rows = running_stats(stream, marks)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:  # stdin that is not UTF-8
+        bad = exc.object[exc.start : exc.end]
+        raise DomainError(f"invalid digit character {bad!r}: the input is not UTF-8") from None
     return _Output(
         json=lambda: stats_to_json(rows),
         table=lambda: _Table(*stats_table(rows, freq_decimals=False)),

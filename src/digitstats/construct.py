@@ -317,11 +317,15 @@ def block_digit_stream(spec: BlockSpec) -> DigitStream:
     """The ternary stream emitting each block's zeros, then ones, then twos."""
     run_lengths = tuple(chain.from_iterable(spec.rows))
 
-    def factory() -> Iterator[int]:
+    def digits() -> Iterator[int]:
         # runs repeat(0, zeros), repeat(1, ones), repeat(2, twos) per block
         return chain.from_iterable(map(repeat, cycle((0, 1, 2)), run_lengths))
 
-    return DigitStream(3, factory, sum(run_lengths))
+    def chunks(stop: int | None = None) -> Iterator[bytes]:
+        # the same runs, each as the bytes of its digit value
+        return map(bytes.__mul__, cycle((b"\0", b"\1", b"\2")), run_lengths)
+
+    return DigitStream._trusted(3, digits, sum(run_lengths), chunks)
 
 
 def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:

@@ -8,12 +8,16 @@ integer arithmetic; values round-trip bit-exactly.
 
 from __future__ import annotations
 
+import codecs
+import functools
 import itertools
+import operator
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError
 
@@ -28,6 +32,11 @@ __all__ = [
     "format_expansion",
     "parse_expansion",
 ]
+
+# A stream's digits as counting reads them: a bytes of digit values, or ints.
+_Chunk = Union[bytes, Sequence[int]]
+_CHUNK_BYTES = 1 << 20  # bytes read from a digit file at a time
+_CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator
 
 
 def _check_base(base: int) -> int:
@@ -57,9 +66,16 @@ class DigitStream:
     produces an independent iterator starting at the first digit, so a
     single stream instance may serve several readers; the digits seen are
     identical on every pass.
+
+    Counting reads the digits through ``_chunks(stop)`` instead: an
+    iterator of chunks, each a ``bytes`` of digit values or a sequence of
+    ints, whose reader needs no digit past depth `stop` (None: all of
+    them). Each digit is checked once: where the package builds the stream
+    from checked or canonical digits, on construction (see ``_trusted``);
+    where a caller's function yields them, as each chunk is made.
     """
 
-    __slots__ = ("base", "length", "_factory")
+    __slots__ = ("base", "length", "_digits", "_chunks")
 
     def __init__(
         self,
@@ -67,14 +83,43 @@ class DigitStream:
         factory: Callable[[], Iterator[int]],
         length: int | None = None,
     ) -> None:
-        self.base = _check_base(base)
+        """Stream of the digits `factory()` yields, each checked as it is read."""
+        self.base = b = _check_base(base)
         if length is not None and (not isinstance(length, int) or length < 0):
             raise DomainError(f"length must be a nonnegative int or None, got {length!r}")
         self.length = length
-        self._factory = factory
+
+        def chunks(stop: int | None = None) -> Iterator[tuple[int, ...]]:
+            return _checked_chunks(factory(), b, stop)
+
+        self._chunks = chunks
+        self._digits = lambda: itertools.chain.from_iterable(chunks())
+
+    @classmethod
+    def _trusted(
+        cls,
+        base: int,
+        digits: Callable[[], Iterator[int]],
+        length: int | None,
+        chunks: Callable[..., Iterator[_Chunk]] | None = None,
+    ) -> "DigitStream":
+        """A stream whose digits are known to lie in [0, base): none is checked again.
+
+        Only for streams the package builds: `from_digits`, `constant` and
+        `with_prefix` checked their digits on construction; an expansion's
+        digits come from a checked or long-division `RadixExpansion`; block
+        runs are of 0, 1 and 2; and a digit text is checked whole before
+        any of it is counted. `digits()` iterates the digits and
+        `chunks(stop)` yields them in chunks (by default cut from
+        `digits()`).
+        """
+        stream = object.__new__(cls)
+        stream.base, stream.length, stream._digits = base, length, digits
+        stream._chunks = chunks or (lambda stop=None: _batches(digits(), base))
+        return stream
 
     def __iter__(self) -> Iterator[int]:
-        return self._factory()
+        return self._digits()
 
     def take(self, count: int) -> list[int]:
         """First `count` digits (fewer if the stream is shorter)."""
@@ -87,13 +132,46 @@ class DigitStream:
         b = _check_base(base)
         data = tuple(digits)
         _check_digits(data, b)
-        return cls(b, lambda: iter(data), len(data))
+        return cls._trusted(b, lambda: iter(data), len(data))
+
+    @classmethod
+    def from_text(cls, text: str, base: int) -> "DigitStream":
+        """The digits of `text` in the digit-text format (see :func:`text_to_digits`).
+
+        The text is checked whole here, so a digit out of range is an error
+        too. The digits are held as bytes up to base 10 and as ints above.
+        """
+        b = _check_base(base)
+        data = [text.encode("utf-8", "surrogatepass")]
+        return _text_stream(lambda: data, b, "surrogatepass")
+
+    @classmethod
+    def from_file(cls, path: str | os.PathLike, base: int) -> "DigitStream":
+        """The digits of a UTF-8 digit-text file, read about 1 MiB at a time.
+
+        The whole file is checked here, as :meth:`from_text` checks a text,
+        and nothing of it is kept: each ``iter()`` reopens the file, and
+        raises DomainError if its size or modification time has changed.
+        OSError from opening or reading the file propagates.
+        """
+        b = _check_base(base)
+        stamp: list[tuple[int, int]] = []
+
+        def raw() -> Iterator[bytes]:
+            with open(path, "rb") as file:
+                status = os.fstat(file.fileno())
+                stamp.append((status.st_size, status.st_mtime_ns))
+                if stamp[-1] != stamp[0]:
+                    raise DomainError(f"{os.fspath(path)!r} changed after it was checked")
+                yield from iter(functools.partial(file.read, _CHUNK_BYTES), b"")
+
+        return _text_stream(raw, b, "strict")
 
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
         b = _check_base(base)
         _check_digits((digit,), b)
-        return cls(b, lambda: itertools.repeat(digit), None)
+        return cls._trusted(b, lambda: itertools.repeat(digit), None)
 
     @classmethod
     def from_function(
@@ -114,11 +192,54 @@ class DigitStream:
     def from_expansion(cls, expansion: "RadixExpansion") -> "DigitStream":
         """Unbounded stream: the preperiod once, then the period forever."""
 
-        def factory() -> Iterator[int]:
+        def digits() -> Iterator[int]:
             periods = itertools.chain.from_iterable(itertools.repeat(expansion.period))
             return itertools.chain(expansion.preperiod, periods)
 
-        return cls(expansion.base, factory, None)
+        return cls._trusted(expansion.base, digits, None)
+
+
+def _batches(digits: Iterator[int], base: int) -> Iterator[_Chunk]:
+    """Valid `digits` in chunks of _CHUNK_DIGITS: bytes up to base 10, else tuples."""
+    pack = bytes if base <= 10 else tuple
+    return iter(lambda: pack(itertools.islice(digits, _CHUNK_DIGITS)), pack())
+
+
+def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[tuple[int, ...]]:
+    """`digits` as tuples of checked ints, none read past depth `stop`.
+
+    With no `stop` each tuple holds one digit, so no digit is made before
+    it is read.
+    """
+    depth = 0
+    while stop is None or depth < stop:
+        raw = tuple(itertools.islice(digits, 1 if stop is None else min(_CHUNK_DIGITS, stop - depth)))
+        if not raw:
+            return
+        yield _check_chunk(raw, base, depth)
+        depth += len(raw)
+
+
+def _check_chunk(raw: tuple, base: int, depth: int) -> tuple[int, ...]:
+    """`raw`, the digits after depth `depth`, as ints in [0, base).
+
+    Raises DomainError naming the first digit that is not an integer or
+    not in range.
+    """
+    try:
+        digits = tuple(map(operator.index, raw))
+        if min(digits) >= 0 and max(digits) < base:
+            return digits
+    except TypeError:
+        pass
+    for position, digit in enumerate(raw, depth + 1):
+        try:
+            digit = operator.index(digit)
+        except TypeError as exc:
+            raise DomainError(f"the digit at depth {position} is not an integer: {exc}") from exc
+        if not 0 <= digit < base:
+            raise DomainError(f"digit {digit!r} out of range for base {base}")
+    raise AssertionError("unreachable: some digit failed the check")
 
 
 @dataclass(frozen=True)
@@ -147,16 +268,32 @@ class RadixExpansion:
         _check_digits(self.preperiod + self.period, b)
         if not self.period:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
-        if all(d == b - 1 for d in self.period):
-            raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
         n = len(self.period)
-        divisors = [w for w in range(1, isqrt(n) + 1) if n % w == 0]
-        divisors += [n // w for w in reversed(divisors) if w * w != n]  # ascending, ends with n
-        for width in divisors[:-1]:
+        if self.period.count(b - 1) == n:
+            raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
+        for width in _proper_divisors(n):
             if self.period == self.period[:width] * (n // width):
                 raise DomainError(f"period {self.period} is a repetition of {self.period[:width]}")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
+
+    @classmethod
+    def _trusted(cls, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "RadixExpansion":
+        """An expansion made without ``__post_init__``'s checks.
+
+        Only for :func:`expand_rational`, whose long division yields digits
+        in [0, base) in canonical form (see its docstring).
+        """
+        expansion = object.__new__(cls)
+        vars(expansion).update(base=base, preperiod=preperiod, period=period)
+        return expansion
+
+
+@functools.cache
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n below n, ascending."""
+    low = [w for w in range(1, isqrt(n) + 1) if n % w == 0]
+    return tuple(low + [n // w for w in reversed(low) if w * w != n])[:-1]
 
 
 def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
@@ -197,7 +334,7 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         preperiod.append(remainder // q)
         remainder %= q
     if remainder == 0:
-        return RadixExpansion(b, tuple(preperiod), (0,))
+        return RadixExpansion._trusted(b, tuple(preperiod), (0,))
     first = remainder
     period = []
     while True:
@@ -205,7 +342,7 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         period.append(remainder // q)
         remainder %= q
         if remainder == first:
-            return RadixExpansion(b, tuple(preperiod), tuple(period))
+            return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:
@@ -244,17 +381,18 @@ def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     _check_digits(pre, tail.base)
     length = None if tail.length is None else tail.length + len(pre)
 
-    def factory() -> Iterator[int]:
-        return itertools.chain(pre, tail)
+    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+        return itertools.chain((pre,), tail._chunks(None if stop is None else max(stop - len(pre), 0)))
 
-    return DigitStream(tail.base, factory, length)
+    return DigitStream._trusted(tail.base, lambda: itertools.chain(pre, tail), length, chunks)
 
 
 _SPACE = b" \t\n\r\v\f"  # ASCII whitespace
+_DIGIT_CHARS = b"0123456789"
 _NOT_DIGIT_TEXT = re.compile(f"[^0-9{_SPACE.decode()}]")
 _NOT_TOKEN_TEXT = re.compile(f"[^0-9,{_SPACE.decode()}]")
-_CHAR_TO_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
-_DIGIT_TO_CHAR = bytes.maketrans(bytes(range(10)), b"0123456789")
+_CHAR_TO_DIGIT = bytes.maketrans(_DIGIT_CHARS, bytes(range(10)))
+_DIGIT_TO_CHAR = bytes.maketrans(bytes(range(10)), _DIGIT_CHARS)
 
 
 def digits_to_text(digits: Iterable[int], base: int) -> str:
@@ -277,15 +415,99 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     stream or expansion built from the digits checks that they lie below
     the base.
     """
-    bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
-    if bad is not None:
-        raise DomainError(f"invalid digit character {bad.group()!r}")
+    data = [text.encode("utf-8", "surrogatepass")]
+    _checked_length(lambda: data, base, "surrogatepass", None)
+    return tuple(itertools.chain.from_iterable(_digit_values(data, base)))
+
+
+def _digit_values(raw: Iterable[bytes], base: int) -> Iterator[_Chunk]:
+    """The digit values of checked digit text, one chunk per chunk of `raw`.
+
+    Up to base 10 a chunk is the bytes of its digit values. Above, digits
+    are tokens, so a chunk is a tuple of ints, and a token that runs to
+    the end of a chunk of `raw` is carried into the next one.
+    """
     if base <= 10:
-        return tuple(text.encode("ascii").translate(_CHAR_TO_DIGIT, _SPACE))
+        for chunk in raw:
+            yield chunk.translate(_CHAR_TO_DIGIT, _SPACE)
+        return
+    carry = b""
+    for chunk in raw:
+        tokens = (carry + chunk).replace(b",", b" ").split()
+        carry = tokens.pop() if chunk[-1:].isdigit() else b""
+        yield tuple(map(int, tokens))
+    if carry:
+        yield (int(carry),)
+
+
+def _checked_length(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limit: int | None) -> int:
+    """The number of digits in the digit text that `raw()` yields in chunks.
+
+    Digits must lie below `limit`; None checks the syntax only. Valid
+    text is read once: up to base 10 one ``bytes.translate`` per chunk
+    checks syntax and range together, and above, the tokens are read too.
+    Text that fails is read again by `_text_error` for the error to raise.
+    `errors` is the UTF-8 error handler that text is decoded with.
+    """
+    allowed = (_DIGIT_CHARS[:limit] if base <= 10 else _DIGIT_CHARS + b",") + _SPACE
+
+    def syntax_checked() -> Iterator[bytes]:
+        for chunk in raw():
+            if chunk.translate(None, allowed):
+                raise ValueError
+            yield chunk
+
+    length = 0
     try:
-        return tuple(map(int, text.replace(",", " ").split()))
+        for values in _digit_values(syntax_checked(), base):
+            if base > 10 and limit is not None and values and max(values) >= limit:
+                raise ValueError
+            length += len(values)
+        return length
+    except ValueError:  # a character outside `allowed`, a token longer than int() reads, or a digit too large
+        pass  # leave the handler first, so that no reader of this pass stays open
+    raise _text_error(raw, base, errors, limit)
+
+
+def _text_error(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limit: int | None) -> DomainError:
+    """The fault of a digit text that `_checked_length` rejected.
+
+    The text is read in chunks, and the fault named is the one reading it
+    whole would meet first: bytes that are not UTF-8 anywhere, else the
+    first character that is not digit text, else a token too long for
+    int() anywhere, else the first digit not below `limit`.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")(errors)
+    not_text = _NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT
+    bad = None
+    try:
+        for chunk in raw():
+            text = decoder.decode(chunk)
+            bad = bad or not_text.search(text)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        raw_bad = exc.object[exc.start : exc.end]
+        return DomainError(f"invalid digit character {raw_bad!r}: the input is not UTF-8")
+    if bad is not None:
+        return DomainError(f"invalid digit character {bad.group()!r}")
+    first_out = None
+    try:
+        for values in _digit_values(raw(), base):
+            if first_out is None and limit is not None and values and max(values) >= limit:
+                first_out = next(d for d in values if d >= limit)
     except ValueError:  # longer than int() reads
-        raise DomainError("digit token too long") from None
+        return DomainError("digit token too long")
+    return DomainError(f"digit {first_out} out of range for base {base}")
+
+
+def _text_stream(raw: Callable[[], Iterable[bytes]], base: int, errors: str) -> DigitStream:
+    """The stream of the digit text `raw()` yields, checked whole here and re-read on each pass."""
+    length = _checked_length(raw, base, errors, base)
+
+    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+        return _digit_values(raw(), base)
+
+    return DigitStream._trusted(base, lambda: itertools.chain.from_iterable(chunks()), length, chunks)
 
 
 def format_expansion(expansion: RadixExpansion) -> str:

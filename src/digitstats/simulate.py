@@ -205,7 +205,8 @@ class ExperimentSummary:
 
 
 def _trial_mean(base: int, depth: int, seed: int) -> Fraction:
-    return uniform_digit_trial(base, depth, seed).mean
+    """The digit mean of one trial, from its digit sum: no count per digit value."""
+    return Fraction(sum(map(sum, _digit_blocks(base, depth, seed))), depth)
 
 
 def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> ExperimentSummary:

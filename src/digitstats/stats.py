@@ -14,13 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil
-from operator import index
 from typing import Iterable, Sequence, Union
 
 from .core import DigitStream, RadixExpansion
@@ -140,30 +137,37 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
         raise DomainError(f"checkpoints must be strictly ascending, got {marks}")
 
     base = stream.base
-    digits = iter(stream)
+
+    def row(truncated: bool) -> PartialStats:
+        return PartialStats(base, depth, tuple(counts[d] for d in range(base)), truncated)
+
     counts: Counter[int] = Counter()
-    checked = 0  # how many of the digit values in counts are range-checked
+    depth = 0
     rows: list[PartialStats] = []
-    for mark in marks:
-        n = counts.total()
-        try:
-            # islice takes at most sys.maxsize; no stream is ever read that far
-            counts.update(map(index, islice(digits, min(mark - n, sys.maxsize))))
-        except TypeError as exc:
-            raise DomainError(f"the digit at depth {counts.total() + 1} is not an integer: {exc}") from exc
-        # only new digit values need a range check; counts lists them in first-seen order
-        for digit in islice(counts, checked, None):
-            if not 0 <= digit < base:
-                raise DomainError(f"digit {digit!r} out of range for base {base}")
-        checked = len(counts)
-        depth = counts.total()
-        if depth == n:  # no digit since the previous checkpoint: the stream ended there
-            if not rows:
-                raise DomainError("stream produced no digits")
-            rows.pop()
-        rows.append(PartialStats(base, depth, tuple(counts[d] for d in range(base)), depth < mark))
-        if depth < mark:
-            break
+    pending = iter(marks)
+    mark = next(pending)
+    for chunk in stream._chunks(marks[-1]):
+        start = 0
+        while start < len(chunk):
+            end = min(len(chunk), start + mark - depth)
+            if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
+                for digit in range(base):
+                    counts[digit] += chunk.count(digit, start, end)
+            else:
+                counts.update(chunk[start:end])
+            depth += end - start
+            start = end
+            if depth == mark:
+                rows.append(row(False))
+                mark = next(pending, None)
+                if mark is None:
+                    return rows
+    # the stream ended before the last checkpoint
+    if depth == 0:
+        raise DomainError("stream produced no digits")
+    if rows and rows[-1].n == depth:
+        rows.pop()
+    rows.append(row(True))
     return rows
 
 
@@ -277,13 +281,30 @@ def geometric_checkpoints(start: int, factor, max_depth: int) -> list[int]:
         raise DomainError(f"need 1 <= start <= max_depth, got start={start}, max_depth={max_depth}")
     if factor <= 1:
         raise DomainError(f"factor must exceed 1, got {factor}")
-    # start*factor^k as an unreduced num/den: no gcd per step
-    num, den = start, 1
+    p, q = factor.numerator, factor.denominator
+    # x / 2**shift tracks v_k = start * f**k, f = p/q, from below. Each
+    # step's floor x*p//q loses less than 1, so after k steps x falls short
+    # of v_k * 2**shift by less than 1 + f + ... + f**(k-1) < f**k / (f-1)
+    # <= f**k * q. Step k is taken only once f**(k-1) <= max_depth / start
+    # is known, so the shortfall stays below slack = p * max_depth, which
+    # is 2**64 times smaller than the unit 2**shift. Where [x, x + slack]
+    # does not fix the floor of v_k, or whether v_k <= max_depth, the step
+    # is settled with exact integers.
+    slack = p * max_depth
+    shift = slack.bit_length() + 64
+    top = max_depth << shift
     depths = {max_depth}
-    while num <= max_depth * den:
-        depths.add(num // den)
-        num *= factor.numerator
-        den *= factor.denominator
+    x, k = start << shift, 0
+    while x <= top:
+        if x + slack <= top and x >> shift == (x + slack) >> shift:
+            depths.add(x >> shift)
+        else:
+            num, den = start * p**k, q**k
+            if num > max_depth * den:
+                break
+            depths.add(num // den)
+        x = x * p // q
+        k += 1
     return sorted(depths)
 
 

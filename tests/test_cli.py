@@ -243,6 +243,18 @@ def test_simulate_rejects_base_above_2_64(capsys, base):
     assert err == f"error: domain: base must be <= 2**64 (one 64-bit draw per digit), got {base}\n"
 
 
+def test_simulate_base_2_64_finishes():
+    # trial means come from digit sums; a count per digit value never finished
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    argv = ["simulate", "--base", str(2**64), "--n", "10", "--trials", "2", "--seed", "1", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-m", "digitstats.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    payload = json.loads(result.stdout)
+    assert payload["config"]["base"] == 2**64 and len(payload["per_trial"]) == 2
+
+
 def test_simulate_table(capsys):
     code, out, _ = run(
         capsys,

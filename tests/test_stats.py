@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from digitstats import core
 from digitstats import (
     Converged,
     DigitStream,
@@ -16,6 +18,8 @@ from digitstats import (
     PartialStats,
     Undetermined,
     classify_limit,
+    construct_mean_without_frequency,
+    digits_to_text,
     exact_frequencies_rational,
     expand_rational,
     floor_weighted_average,
@@ -27,6 +31,7 @@ from digitstats import (
     stats_to_csv,
     stats_to_json,
     uniform_digits,
+    with_prefix,
 )
 
 
@@ -87,6 +92,39 @@ def test_running_stats_rejects_bad_digits():
         running_stats(DigitStream.from_function(lambda n: digits[n - 1], 3, length=5), [1, 5])
 
 
+def test_running_stats_names_the_first_bad_digit_across_chunks(monkeypatch):
+    # digits a caller's function yields are checked a chunk at a time
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", 4)
+    cases = [
+        ([0, 1, 2, 0, 1, 7, 2, 9], "digit 7 out of range for base 3"),  # both in the second chunk
+        ([0, 1, 2, 5, 1.5, 1], "digit 5 out of range for base 3"),  # last of the first chunk
+        ([0, 1, 2, 0, 1, 1.0, 7], "the digit at depth 6 is not an integer"),
+        ([0, 1, 2, 0, 1, 2, 0, -1, 3], "digit -1 out of range for base 3"),  # ends the second chunk
+    ]
+    for digits, message in cases:
+        stream = DigitStream.from_function(lambda n: digits[n - 1], 3, length=len(digits))
+        with pytest.raises(DomainError, match=message):
+            running_stats(stream, [1, 2, len(digits)])
+        with pytest.raises(DomainError, match=message):
+            list(stream)
+
+
+def test_running_stats_reads_no_digit_past_the_last_checkpoint(monkeypatch):
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", 4)
+    positions = []
+
+    def digit(n):
+        positions.append(n)
+        return n % 3 if n <= 9 else "never read"
+
+    rows = running_stats(DigitStream.from_function(digit, 3), [2, 9])
+    assert [row.counts for row in rows] == [(0, 1, 1), (3, 3, 3)]
+    assert positions == list(range(1, 10))
+    positions.clear()
+    running_stats(with_prefix([0, 1], DigitStream.from_function(digit, 3)), [2, 9])
+    assert positions == list(range(1, 8))
+
+
 def reference_stats(digits, base, marks):
     """Reference: (n, counts, truncated) of each row, counted prefix by prefix."""
     served = [m for m in marks if m <= len(digits)]
@@ -106,6 +144,34 @@ def test_running_stats_matches_prefix_counts():
         marks = sorted(rng.sample(range(1, 50), rng.randint(1, 8)))
         rows = running_stats(DigitStream.from_digits(digits, base), marks)
         assert [(r.n, r.counts, r.truncated) for r in rows] == reference_stats(digits, base, marks)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_running_stats_matches_prefix_counts_for_every_chunk_kind(monkeypatch, chunk):
+    # bytes chunks up to base 10, tuples above, checked tuples from functions,
+    # block runs as bytes, and chunks cut at every checkpoint
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
+    rng = random.Random(chunk)
+    _, blocks = construct_mean_without_frequency(1, "1/5", "2/5", "1/20", 6)
+    for _ in range(60):
+        base = rng.choice([2, 3, 10, 11, 16])
+        digits = [rng.randrange(base) for _ in range(rng.randint(1, 40))]
+        q = rng.randint(1, 200)
+        streams = [
+            DigitStream.from_digits(digits, base),
+            DigitStream.from_function(lambda n: digits[n - 1], base, length=len(digits)),
+            DigitStream.from_text(digits_to_text(digits, base), base),
+            with_prefix(digits[:3], DigitStream.from_digits(digits[3:], base)),
+            with_prefix(digits[:2], DigitStream.from_function(lambda n: digits[n + 1], base, max(len(digits) - 2, 0))),
+            DigitStream.from_expansion(expand_rational(rng.randrange(q), q, base)),
+            DigitStream.constant(rng.randrange(base), base),
+            blocks,
+        ]
+        marks = sorted(rng.sample(range(1, 50), rng.randint(1, 8)))
+        for stream in streams:
+            expected = reference_stats(stream.take(60), stream.base, marks)
+            rows = running_stats(stream, marks)
+            assert [(r.n, r.counts, r.truncated) for r in rows] == expected
 
 
 def test_running_stats_checkpoint_validation():
@@ -275,10 +341,35 @@ def fraction_checkpoints(start, factor, max_depth):
     return sorted(depths)
 
 
-@pytest.mark.parametrize("factor", ["1001/1000", "11/10", "3/2", "2", "7/3", "10"])
+@pytest.mark.parametrize(
+    "factor", ["1001/1000", "11/10", "3/2", "2", "7/3", "10", "3", "4/3", "101/100", "13/7", "1000", "2001/1000"]
+)
 @pytest.mark.parametrize("start", [1, 3, 50])
 def test_geometric_checkpoints_match_fraction_steps(start, factor):
     assert geometric_checkpoints(start, factor, 2000) == fraction_checkpoints(start, factor, 2000)
+
+
+@pytest.mark.parametrize(
+    "start,factor,max_depth",
+    [
+        (2**20, "3/2", 2**40),  # exact integers for 20 steps, then none
+        (1, "2", 2**80),
+        (3, "10", 3 * 10**25),  # the last step lands on max_depth exactly
+        (7, "9/8", 10**9),
+        (10**6, "1000001/1000000", 10**6 + 3000),
+    ],
+)
+def test_geometric_checkpoints_match_fraction_steps_at_scale(start, factor, max_depth):
+    assert geometric_checkpoints(start, factor, max_depth) == fraction_checkpoints(start, factor, max_depth)
+
+
+def test_fine_geometric_checkpoints_take_linear_time():
+    # about 92,000 steps; each grows the depth by at most 10**4 / 10**4 = 1,
+    # so every depth from 1 to 10**4 is hit
+    began = time.process_time()
+    depths = geometric_checkpoints(1, "1.0001", 10**4)
+    assert time.process_time() - began < 1
+    assert depths == list(range(1, 10**4 + 1))
 
 
 def test_stats_csv_layout():
