@@ -80,6 +80,10 @@ def beatty_construct(a, b, count: int) -> list[int]:
     wins whenever both indicators fire (a measured fidelity gap, e.g.
     a = b = 0 yields all 1s against a target of all 2s). Use
     quota_construct when every digit's frequency must be guaranteed.
+
+    The indicator of a = p/q repeats with period q, since
+    [(n+q)*a] = [n*a] + p; so the digits repeat with the period
+    lcm(a.denominator, b.denominator), and only one period is computed.
     """
     a = coerce_rational(a)
     b = coerce_rational(b)
@@ -93,7 +97,7 @@ def beatty_construct(a, b, count: int) -> list[int]:
     digits = []
     floor_a = ap // aq
     floor_b = bp // bq
-    for n in range(1, count + 1):
+    for n in range(1, min(count, lcm(aq, bq)) + 1):
         next_a = ((n + 1) * ap) // aq
         next_b = ((n + 1) * bp) // bq
         if next_a - floor_a == 1:
@@ -104,7 +108,7 @@ def beatty_construct(a, b, count: int) -> list[int]:
             digits.append(2)
         floor_a = next_a
         floor_b = next_b
-    return digits
+    return list(islice(cycle(digits), count))
 
 
 def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
@@ -115,6 +119,12 @@ def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
     digit is the maximum of quantities averaging to 0, hence >= 0 before
     the step and > -1 after; a standard quota argument keeps
     |N_i(m) - m*tau_i| <= 2 for every digit and every depth.
+
+    The choice at step m+1 depends only on the deficits after step m. If
+    they are all 0, as before step 1, then step m+j chooses what step j
+    chose, and the digits repeat the first m with period m. That happens
+    only where m is a multiple of the common denominator of the targets,
+    so it is checked there, and the loop stops at the first such m.
     """
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
@@ -133,6 +143,8 @@ def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
                 best_deficit = deficit
         counts[best] += 1
         digits.append(best)
+        if m % scale == 0 and all(c * scale == m * w for c, w in zip(counts, weights)):
+            return list(islice(cycle(digits), count))
     return digits
 
 
@@ -143,6 +155,7 @@ def floor_weighted_average(x, k: int, n: int) -> Fraction:
     so it converges to x as n grows.
     """
     x = coerce_rational(x)
+    k, n = coerce_index(k, "k"), coerce_index(n, "n")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if k < 1:
@@ -150,8 +163,25 @@ def floor_weighted_average(x, k: int, n: int) -> Fraction:
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
     p, q = x.numerator, x.denominator
-    total = sum((j * p) // q for j in range(k, n + 1))
+    total = _floor_sum(n + 1, p, 0, q) - _floor_sum(k, p, 0, q)
     return Fraction(total, n * (n + 1) // 2)
+
+
+def _floor_sum(n: int, a: int, b: int, m: int) -> int:
+    """Sum of [(a*j + b)/m] over j = 0..n-1, for n, a, b >= 0 and m >= 1, in O(log m) steps.
+
+    The whole parts of a/m and b/m add closed-form terms; the lattice points
+    under the line y = (a*j + b)/m that remain are counted along the other
+    axis, a floor sum with a and m swapped, as in Euclid's algorithm.
+    """
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
 
 
 @dataclass(frozen=True)
@@ -260,13 +290,17 @@ class BlockSpec:
     rows: tuple[tuple[int, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        ratios = {}  # alpha -> the (numerator, denominator) of alpha, beta, gamma
         rows = []
         for k, alpha in enumerate(self.alphas, start=1):
-            beta = 2 - 2 * alpha - self.theta
-            gamma = alpha - 1 + self.theta
-            if beta < 0 or gamma < 0 or alpha < 0:
-                raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
-            rows.append((_floor(k * alpha), _floor(k * beta), _floor(k * gamma)))
+            if alpha not in ratios:
+                beta = 2 - 2 * alpha - self.theta
+                gamma = alpha - 1 + self.theta
+                if beta < 0 or gamma < 0 or alpha < 0:
+                    raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
+                ratios[alpha] = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
+            (ap, aq), (bp, bq), (gp, gq) = ratios[alpha]
+            rows.append((k * ap // aq, k * bp // bq, k * gp // gq))
         object.__setattr__(self, "rows", tuple(rows))
 
     @property

@@ -37,6 +37,7 @@ __all__ = [
 _Chunk = Union[bytes, Sequence[int]]
 _CHUNK_BYTES = 1 << 20  # bytes read from a digit file at a time
 _CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator
+_BYTE_VALUES = bytes(range(256))
 
 
 def _check_base(base: int) -> int:
@@ -45,18 +46,33 @@ def _check_base(base: int) -> int:
     return base
 
 
-def _check_digits(digits: Sequence, base: int) -> None:
-    """Raise unless every digit is an int in [0, base).
+def _check_digits(digits: Sequence, base: int) -> _Chunk:
+    """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints.
 
-    Both scans run in C: one collects the digits' types, the other their
-    distinct values, of which valid digits have at most `base`.
+    A digit is accepted when `operator.index` accepts it and its value
+    lies in [0, base); it is kept as a plain int. Up to base 256 one
+    ``bytes()`` conversion does both in C, and one ``translate`` checks
+    the range.
     """
-    if all(issubclass(kind, int) for kind in set(map(type, digits))) and all(
-        0 <= d < base for d in set(digits)
-    ):
-        return
-    bad = next(d for d in digits if not isinstance(d, int) or not 0 <= d < base)
-    raise DomainError(f"digit {bad!r} out of range for base {base}")
+    try:
+        if base <= 256:
+            values = bytes(digits)
+            if not values.translate(None, _BYTE_VALUES[:base]):
+                return values if base <= 10 else tuple(values)
+        else:
+            values = tuple(map(operator.index, digits))
+            if not values or (min(values) >= 0 and max(values) < base):
+                return values
+    except (TypeError, ValueError):
+        pass
+    for digit in digits:
+        try:
+            value = operator.index(digit)
+        except TypeError:
+            value = -1
+        if not 0 <= value < base:
+            raise DomainError(f"digit {digit!r} out of range for base {base}")
+    raise AssertionError("unreachable: some digit failed the check")
 
 
 class DigitStream:
@@ -89,7 +105,7 @@ class DigitStream:
             raise DomainError(f"length must be a nonnegative int or None, got {length!r}")
         self.length = length
 
-        def chunks(stop: int | None = None) -> Iterator[tuple[int, ...]]:
+        def chunks(stop: int | None = None) -> Iterator[_Chunk]:
             return _checked_chunks(factory(), b, stop)
 
         self._chunks = chunks
@@ -129,10 +145,10 @@ class DigitStream:
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
+        """The digits of `digits`, checked here and held as one chunk (see `_check_digits`)."""
         b = _check_base(base)
-        data = tuple(digits)
-        _check_digits(data, b)
-        return cls._trusted(b, lambda: iter(data), len(data))
+        data = _check_digits(digits if isinstance(digits, (list, tuple)) else tuple(digits), b)
+        return cls._trusted(b, lambda: iter(data), len(data), lambda stop=None: iter((data,)))
 
     @classmethod
     def from_text(cls, text: str, base: int) -> "DigitStream":
@@ -170,7 +186,7 @@ class DigitStream:
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
         b = _check_base(base)
-        _check_digits((digit,), b)
+        (digit,) = _check_digits((digit,), b)
         return cls._trusted(b, lambda: itertools.repeat(digit), None)
 
     @classmethod
@@ -205,10 +221,10 @@ def _batches(digits: Iterator[int], base: int) -> Iterator[_Chunk]:
     return iter(lambda: pack(itertools.islice(digits, _CHUNK_DIGITS)), pack())
 
 
-def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[tuple[int, ...]]:
-    """`digits` as tuples of checked ints, none read past depth `stop`.
+def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_Chunk]:
+    """`digits` in checked chunks (see `_check_digits`), none read past depth `stop`.
 
-    With no `stop` each tuple holds one digit, so no digit is made before
+    With no `stop` each chunk holds one digit, so no digit is made before
     it is read.
     """
     depth = 0
@@ -220,17 +236,15 @@ def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[t
         depth += len(raw)
 
 
-def _check_chunk(raw: tuple, base: int, depth: int) -> tuple[int, ...]:
-    """`raw`, the digits after depth `depth`, as ints in [0, base).
+def _check_chunk(raw: tuple, base: int, depth: int) -> _Chunk:
+    """`raw`, the digits after depth `depth`, checked as `_check_digits` checks them.
 
     Raises DomainError naming the first digit that is not an integer or
     not in range.
     """
     try:
-        digits = tuple(map(operator.index, raw))
-        if min(digits) >= 0 and max(digits) < base:
-            return digits
-    except TypeError:
+        return _check_digits(raw, base)
+    except DomainError:
         pass
     for position, digit in enumerate(raw, depth + 1):
         try:
@@ -263,9 +277,8 @@ class RadixExpansion:
 
     def __post_init__(self) -> None:
         b = _check_base(self.base)
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        _check_digits(self.preperiod + self.period, b)
+        object.__setattr__(self, "preperiod", tuple(_check_digits(tuple(self.preperiod), b)))
+        object.__setattr__(self, "period", tuple(_check_digits(tuple(self.period), b)))
         if not self.period:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
         n = len(self.period)
@@ -377,8 +390,7 @@ def evaluate_expansion(expansion: RadixExpansion) -> Fraction:
 
 def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     """Stream emitting the `prefix` digits, then `tail` unchanged."""
-    pre = tuple(prefix)
-    _check_digits(pre, tail.base)
+    pre = _check_digits(tuple(prefix), tail.base)
     length = None if tail.length is None else tail.length + len(pre)
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:

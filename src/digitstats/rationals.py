@@ -8,8 +8,9 @@ correctly rounded decimal with a fixed number of significant digits.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
 from .errors import DomainError
@@ -67,12 +68,17 @@ def ratio_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+@lru_cache(maxsize=64)
+def _decimal_context(digits: int) -> Context:
+    """Python's default context at precision `digits`, pinned, so that no caller's context counts."""
+    traps = [InvalidOperation, DivisionByZero, Overflow]
+    return Context(digits, ROUND_HALF_EVEN, -999999, 999999, 1, 0, [], traps)
+
+
 def decimal_str(value: Fraction, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
-    """Decimal rendering rounded to `digits` significant digits."""
+    """Decimal rendering rounded half-even to `digits` significant digits."""
     if digits < 1:
         raise DomainError("need at least one significant digit")
-    f = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        quotient = Decimal(f.numerator) / Decimal(f.denominator)
-    return str(quotient)
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    context = _decimal_context(digits)
+    return context.to_sci_string(context.divide(Decimal(f.numerator), Decimal(f.denominator)))

@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
@@ -28,7 +28,8 @@ from operator import mod
 from typing import Iterator
 
 from .errors import DomainError
-from .rationals import DECIMAL_SIGNIFICANT_DIGITS, coerce_index, coerce_rational, decimal_str, ratio_str
+from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
+from .rationals import decimal_str, ratio_str
 from .stats import PartialStats
 
 __all__ = [
@@ -198,10 +199,9 @@ class ExperimentSummary:
         return math.sqrt(self.variance)
 
     def stddev_decimal(self, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
-        with localcontext() as ctx:
-            ctx.prec = digits
-            value = Decimal(self.variance.numerator) / Decimal(self.variance.denominator)
-            return str(value.sqrt())
+        context = _decimal_context(digits)
+        value = context.divide(Decimal(self.variance.numerator), Decimal(self.variance.denominator))
+        return context.to_sci_string(context.sqrt(value))
 
 
 def _trial_mean(base: int, depth: int, seed: int) -> Fraction:

@@ -333,11 +333,10 @@ def stats_table(
     header += ["r_dec", "truncated"]
     body = []
     for row in rows:
-        freqs = row.freqs
-        cells = [str(row.n), *map(str, row.counts), *map(ratio_str, freqs), ratio_str(row.mean)]
-        if freq_decimals:
-            cells += map(decimal_str, freqs)
-        body.append(cells + [decimal_str(row.mean), str(row.truncated).lower()])
+        values = [*row.freqs, row.mean]  # normalized Fractions: str is their p/q form
+        cells = [str(row.n), *map(str, row.counts), *map(str, values)]
+        cells += map(decimal_str, values if freq_decimals else values[-1:])
+        body.append(cells + [str(row.truncated).lower()])
     return header, body
 
 

@@ -2,8 +2,10 @@
 
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,6 +30,7 @@ from digitstats import (
     running_stats,
     with_prefix,
 )
+from digitstats.construct import _floor_sum
 
 F = Fraction
 
@@ -376,3 +379,136 @@ def test_prefix_changes_mean_by_bounded_amount():
         shifted = with_prefix(prefix, stream)
         mean = running_stats(shifted, [depth])[0].mean
         assert abs(mean - base_mean) <= F(2 * len(prefix), depth)
+
+
+def beatty_reference(a: Fraction, b: Fraction, count: int) -> list[int]:
+    """The Beatty digits computed position by position, with no period used."""
+    (ap, aq), (bp, bq) = a.as_integer_ratio(), b.as_integer_ratio()
+    digits = []
+    for n in range(1, count + 1):
+        if (n + 1) * ap // aq - n * ap // aq == 1:
+            digits.append(0)
+        elif (n + 1) * bp // bq - n * bp // bq == 0:
+            digits.append(1)
+        else:
+            digits.append(2)
+    return digits
+
+
+def quota_reference(profile: FrequencyProfile, count: int) -> list[int]:
+    """The greedy quota digits computed step by step, with no period used."""
+    scale = lcm(*(t.denominator for t in profile.tau))
+    weights = [t.numerator * (scale // t.denominator) for t in profile.tau]
+    counts = [0] * profile.base
+    digits = []
+    for m in range(1, count + 1):
+        best = max(range(profile.base), key=lambda i: (m * weights[i] - counts[i] * scale, -i))
+        counts[best] += 1
+        digits.append(best)
+    return digits
+
+
+def counts_around(period: int) -> list[int]:
+    """Counts below, at and around multiples of `period`."""
+    return sorted({0, 1, period - 1, *(k * period + d for k in (1, 2, 3) for d in (-1, 0, 1))} - {-1})
+
+
+def random_profile(rng: random.Random) -> FrequencyProfile:
+    """A profile of base 2-6 whose targets share a denominator up to 120, some of them 0."""
+    base = rng.randint(2, 6)
+    denominator = rng.randint(1, 120)
+    cuts = sorted(rng.randint(0, denominator) for _ in range(base - 1))
+    parts = [high - low for low, high in zip([0, *cuts], [*cuts, denominator])]
+    return FrequencyProfile(base, tuple(F(part, denominator) for part in parts))
+
+
+def test_quota_construct_matches_step_by_step_reference():
+    rng = random.Random(2024)
+    profiles = [random_profile(rng) for _ in range(150)]
+    profiles += [FrequencyProfile(3, (F(1, 2), F(1, 3), F(1, 6))), FrequencyProfile(2, (1, 0))]
+    for profile in profiles:
+        scale = lcm(*(t.denominator for t in profile.tau))
+        counts = counts_around(scale)
+        reference = quota_reference(profile, counts[-1])
+        for count in counts:
+            assert quota_construct(profile, count) == reference[:count], (profile.tau, count)
+
+
+def test_beatty_construct_matches_position_by_position_reference():
+    rng = random.Random(2025)
+    pairs = [(F(0), F(0)), (F(0), F(1, 3)), (F(2, 7), F(0)), (F(2, 5), F(3, 5)), (F(1), F(0)), (F(0), F(1))]
+    for _ in range(30):
+        q, d = rng.randint(1, 120), rng.randint(1, 120)
+        a = F(rng.randint(0, q), q)
+        pairs.append((a, F(rng.randint(0, (1 - a) * d // 1), d)))
+        pairs.append((a, 1 - a))  # a + b = 1
+    for a, b in pairs:
+        counts = counts_around(lcm(a.denominator, b.denominator))
+        reference = beatty_reference(a, b, counts[-1])
+        for count in counts:
+            assert beatty_construct(a, b, count) == reference[:count], (a, b, count)
+
+
+def block_rows_reference(theta: Fraction, alphas) -> list[tuple[int, int, int]]:
+    """Block rows from three Fraction products per block."""
+    rows = []
+    for k, alpha in enumerate(alphas, start=1):
+        densities = (alpha, 2 - 2 * alpha - theta, alpha - 1 + theta)
+        rows.append(tuple((k * d).numerator // (k * d).denominator for d in densities))
+    return rows
+
+
+def test_block_rows_match_fraction_products_for_every_block_count():
+    rng = random.Random(2026)
+    cases = [
+        (F(1), construct_mean_without_frequency(1, F(1, 5), F(2, 5), F(1, 20), 300)[0].alphas),
+        (F(4, 3), construct_mean_without_frequency(F(4, 3), F(1, 20), F(1, 4), F(1, 30), 300)[0].alphas),
+    ]
+    for theta in (F(1), F(7, 5)):
+        low, high = max(F(0), 1 - theta), (2 - theta) / 2
+        # many distinct alphas, with repeats, anywhere in the window [low, high]
+        pool = [low + (high - low) * F(rng.randint(0, 997), 997) for _ in range(150)]
+        cases.append((theta, tuple(rng.choice(pool) for _ in range(300))))
+    for theta, alphas in cases:
+        reference = block_rows_reference(theta, alphas)
+        for blocks in range(1, 301):
+            assert list(BlockSpec(theta, alphas[:blocks]).rows) == reference[:blocks], (theta, blocks)
+
+
+def test_blockspec_names_the_first_bad_block():
+    good, bad = F(2, 5), F(3, 5)  # theta = 1: beta = -1/5 for alpha = 3/5
+    with pytest.raises(DomainError, match=r"^block 4: run densities \(3/5, -1/5, 3/5\) negative$"):
+        BlockSpec(theta=F(1), alphas=(good, good, good, bad, good, bad))
+    with pytest.raises(DomainError, match=r"^block 2: run densities \(-1/5, 7/5, -1/5\) negative$"):
+        BlockSpec(theta=F(1), alphas=(good, F(-1, 5)))
+
+
+def test_floor_sum_matches_brute_force():
+    for n in range(0, 9):
+        for a in range(0, 13):
+            for b in range(0, 13):
+                for m in range(1, 13):
+                    assert _floor_sum(n, a, b, m) == sum((a * j + b) // m for j in range(n)), (n, a, b, m)
+    rng = random.Random(2027)
+    for _ in range(300):
+        n, a, b, m = rng.randint(0, 200), rng.randint(0, 10**9), rng.randint(0, 10**9), rng.randint(1, 10**9)
+        assert _floor_sum(n, a, b, m) == sum((a * j + b) // m for j in range(n)), (n, a, b, m)
+
+
+def test_floor_weighted_average_matches_term_by_term_sum():
+    for x in (F(0), F(2, 5), F(17, 12), F(3), F(355, 113)):
+        for n in range(1, 40):
+            for k in range(1, n + 1):
+                terms = sum(j * x.numerator // x.denominator for j in range(k, n + 1))
+                assert floor_weighted_average(x, k, n) == F(terms, n * (n + 1) // 2)
+
+
+def test_floor_weighted_average_at_paper_scale_takes_no_linear_time():
+    started = time.perf_counter()
+    w = floor_weighted_average(F(2, 5), 1, 10**12)
+    assert time.perf_counter() - started < 1
+    n = 10**12
+    assert F(2, 5) - F(2, n + 1) < w <= F(2, 5)
+    # j = 5t+1..5t+5 add 10t + 4 to the sum, so up to n = 5T it is 5T^2 - T
+    t = n // 5
+    assert w == F(5 * t * t - t, n * (n + 1) // 2)

@@ -1,6 +1,7 @@
 """Tests for exact expansions and digit streams."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -186,6 +187,65 @@ def test_digit_stream_rejects_non_int_or_negative_digits(digits):
 
 def test_digit_stream_accepts_int_subclasses():
     assert DigitStream.from_digits((True, False, 2), 3).take(3) == [True, False, 2]
+
+
+class Index:
+    """An integer-like type that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("base", [3, 11, 256, 257, 2**70])
+def test_every_public_digit_check_keeps_plain_ints(base):
+    digits = (True, Index(2), False, Index(base - 1))
+    expected = [1, 2, 0, base - 1]
+    streams = [
+        DigitStream.from_digits(digits, base),
+        DigitStream.from_digits(iter(digits), base),
+        with_prefix(digits, DigitStream.from_digits([], base)),
+        DigitStream(base, lambda: iter(digits), 4),
+    ]
+    for stream in streams:
+        assert stream.take(4) == expected
+        assert {type(d) for d in stream} == {int}
+    assert [type(d) for d in DigitStream.constant(Index(1), base).take(2)] == [int, int]
+    expansion = RadixExpansion(base, (Index(1),), (True, False))
+    assert (expansion.preperiod, expansion.period) == ((1,), (1, 0))
+    assert {type(d) for d in expansion.preperiod + expansion.period} == {int}
+
+
+@pytest.mark.parametrize("base", [3, 11, 256, 257])
+def test_public_digit_checks_reject_with_the_same_message(base):
+    for bad in (-1, base, 2**70, -(2**70), Index(base), Index(-1), 1.0, "1", None):
+        message = f"digit {bad!r} out of range for base {base}"
+        for build in (
+            lambda: DigitStream.from_digits([0, bad, 1.5], base),
+            lambda: DigitStream.constant(bad, base),
+            lambda: with_prefix([1, bad], DigitStream.constant(0, base)),
+            lambda: RadixExpansion(base, (0,), (1, bad)),
+        ):
+            with pytest.raises(DomainError) as caught:
+                build()
+            assert str(caught.value) == message
+
+
+def test_from_digits_keeps_one_byte_per_digit():
+    digits = [i * 7 % 3 for i in range(2**20)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        stream = DigitStream.from_digits(digits, 3)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before < 1.05 * 2**20  # a tuple would hold 8 bytes per digit
+    assert stream.length == 2**20
+    assert stream.take(7) == digits[:7]
+    assert list(stream) == digits
 
 
 def test_digit_stream_constant_and_function():

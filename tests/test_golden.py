@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import decimal
 import io
 import sys
 from pathlib import Path
@@ -86,6 +87,15 @@ def test_golden_output(name):
         assert out == ""
         assert code == int((GOLDEN / f"{name}.code").read_text())
         assert err == (GOLDEN / f"{name}.err").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_ignores_the_decimal_context(name):
+    """Decimal renderings use a fixed context, not the caller's."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.capitals, ctx.Emin, ctx.Emax = 4, decimal.ROUND_DOWN, 0, -9, 9
+        ctx.traps[decimal.Inexact] = True
+        test_golden_output(name)
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*-csv.out")), ids=lambda path: path.stem)

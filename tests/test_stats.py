@@ -1,5 +1,6 @@
 """Tests for running statistics, the frequency/mean algebra, and verdicts."""
 
+import decimal
 import json
 import random
 import time
@@ -8,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from digitstats import core
+from digitstats.rationals import decimal_str, ratio_str
+from digitstats.stats import stats_table
 from digitstats import (
     Converged,
     DigitStream,
@@ -396,3 +399,61 @@ def test_stats_json_mirror():
 def test_stats_export_rejects_empty():
     with pytest.raises(DomainError):
         stats_to_csv([])
+
+
+def reference_decimal_str(value, digits=20) -> str:
+    """Decimal rendering through a copy of the thread's default context."""
+    f = Fraction(value)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return str(decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator))
+
+
+def reference_stats_table(rows, freq_decimals=True):
+    """Statistics cells built from each row's properties, cell by cell."""
+    base = rows[0].base
+    header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
+    header += [f"v{i}_dec" for i in range(base)] if freq_decimals else []
+    header += ["r_dec", "truncated"]
+    body = []
+    for row in rows:
+        cells = [str(row.n), *map(str, row.counts), *map(ratio_str, row.freqs), ratio_str(row.mean)]
+        cells += map(reference_decimal_str, row.freqs) if freq_decimals else []
+        body.append(cells + [reference_decimal_str(row.mean), str(row.truncated).lower()])
+    return header, body
+
+
+def test_decimal_str_matches_default_context_rendering():
+    rng = random.Random(31)
+    values = [Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(1), Fraction(5), Fraction(-7, 2)]
+    values += [Fraction(1, 7 * 10**9), Fraction(1, 10**30), Fraction(2, 3 * 10**25), Fraction(10**25, 3)]
+    values += [Fraction(99999, 100000), Fraction(999999999999999999995, 10**21), Fraction(1, 2**64)]
+    for _ in range(300):
+        scale = 10 ** rng.randint(0, 40)
+        values.append(Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12) * scale))
+    for value in values:
+        for digits in range(1, 31):
+            assert decimal_str(value, digits) == reference_decimal_str(value, digits), (value, digits)
+    with pytest.raises(DomainError):
+        decimal_str(Fraction(1, 3), 0)
+
+
+def test_stats_table_matches_cell_by_cell_reference():
+    rng = random.Random(32)
+    for base in (2, 3, 10, 12):
+        rows = []
+        for _ in range(40):
+            counts = [rng.choice((0, 1, rng.randint(0, 10**6))) for _ in range(base)]
+            counts[rng.randrange(base)] += 1
+            rows.append(PartialStats(base, sum(counts), tuple(counts), rng.random() < 0.2))
+        for freq_decimals in (True, False):
+            assert stats_table(rows, freq_decimals) == reference_stats_table(rows, freq_decimals)
+
+
+def test_decimal_renderings_ignore_the_callers_context():
+    expected = [decimal_str(Fraction(2, 3)), decimal_str(Fraction(1, 7 * 10**9))]
+    assert expected == ["0.66666666666666666667", "1.4285714285714285714E-10"]
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.capitals, ctx.Emin = 3, decimal.ROUND_DOWN, 0, -5
+        ctx.traps[decimal.Inexact] = True
+        assert [decimal_str(Fraction(2, 3)), decimal_str(Fraction(1, 7 * 10**9))] == expected
