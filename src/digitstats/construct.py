@@ -65,8 +65,7 @@ def beatty_indicator(a, n: int) -> int:
     a = coerce_rational(a)
     if not 0 <= a <= 1:
         raise DomainError(f"a must lie in [0, 1], got {a}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = coerce_index(n, "n", 1)
     return _floor((n + 1) * a) - _floor(n * a)
 
 
@@ -89,9 +88,7 @@ def beatty_construct(a, b, count: int) -> list[int]:
     b = coerce_rational(b)
     if a < 0 or b < 0 or a + b > 1:
         raise DomainError(f"need a >= 0, b >= 0, a + b <= 1, got a={a}, b={b}")
-    count = coerce_index(count, "count")
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    count = coerce_index(count, "count", 0)
     ap, aq = a.numerator, a.denominator
     bp, bq = b.numerator, b.denominator
     digits = []
@@ -126,8 +123,7 @@ def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
     only where m is a multiple of the common denominator of the targets,
     so it is checked there, and the loop stops at the first such m.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    count = coerce_index(count, "count", 0)
     # integer deficits: scale by the common denominator of the targets
     scale = lcm(*(t.denominator for t in profile.tau))
     weights = [t.numerator * (scale // t.denominator) for t in profile.tau]
@@ -242,8 +238,7 @@ def build_oscillating_schedule(x1, x2, epsilon, horizon: int) -> OscillationSche
         raise DomainError(
             f"epsilon must lie in (0, (x2-x1)/2) so that x1+eps < x2-eps, got {epsilon}"
         )
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    horizon = coerce_index(horizon, "horizon", 1)
     low = x1 + epsilon
     high = x2 - epsilon
     current = x1
@@ -340,8 +335,7 @@ def construct_mean_without_frequency(
         raise DomainError(
             f"x1, x2 must satisfy {window_low} < x1 < x2 < {window_high}, got x1={x1}, x2={x2}"
         )
-    if blocks < 1:
-        raise DomainError(f"blocks must be >= 1, got {blocks}")
+    blocks = coerce_index(blocks, "blocks", 1)
     schedule = build_oscillating_schedule(x1, x2, epsilon, horizon=blocks)
     spec = BlockSpec(theta=theta, alphas=tuple(schedule.values()))
     return spec, block_digit_stream(spec)
@@ -351,15 +345,11 @@ def block_digit_stream(spec: BlockSpec) -> DigitStream:
     """The ternary stream emitting each block's zeros, then ones, then twos."""
     run_lengths = tuple(chain.from_iterable(spec.rows))
 
-    def digits() -> Iterator[int]:
-        # runs repeat(0, zeros), repeat(1, ones), repeat(2, twos) per block
-        return chain.from_iterable(map(repeat, cycle((0, 1, 2)), run_lengths))
-
     def chunks(stop: int | None = None) -> Iterator[bytes]:
-        # the same runs, each as the bytes of its digit value
+        # one chunk per run, the bytes of its digit value
         return map(bytes.__mul__, cycle((b"\0", b"\1", b"\2")), run_lengths)
 
-    return DigitStream._trusted(3, digits, sum(run_lengths), chunks)
+    return DigitStream._trusted(3, sum(run_lengths), chunks)
 
 
 def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:
@@ -383,9 +373,7 @@ def no_mean_example(count: int) -> list[int]:
     returns to exactly 1/2 at the end of each 1-run, so it has no limit
     even though a mean is the weakest digit statistic.
     """
-    count = coerce_index(count, "count")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = coerce_index(count, "count", 1)
     lengths = accumulate(cycle((1, 2)), mul, initial=1)  # 1, 1, 2, 2, 4, 4, ...
     runs = map(repeat, cycle((0, 1)), lengths)
     return list(islice(chain.from_iterable(runs), count))
@@ -393,8 +381,7 @@ def no_mean_example(count: int) -> list[int]:
 
 def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:
     """Depths c*2^m - 2 for m = 0, 1, ..., up to max_depth."""
-    if max_depth < 1:
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+    max_depth = coerce_index(max_depth, "max_depth", 1)
     depths = []
     while c - 2 <= max_depth:
         depths.append(c - 2)

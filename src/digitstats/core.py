@@ -20,6 +20,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError
+from .rationals import coerce_index
 
 __all__ = [
     "DigitStream",
@@ -83,15 +84,16 @@ class DigitStream:
     single stream instance may serve several readers; the digits seen are
     identical on every pass.
 
-    Counting reads the digits through ``_chunks(stop)`` instead: an
-    iterator of chunks, each a ``bytes`` of digit values or a sequence of
-    ints, whose reader needs no digit past depth `stop` (None: all of
-    them). Each digit is checked once: where the package builds the stream
+    A stream holds its digits as one thing only, ``_chunks(stop)``: a
+    callable returning an iterator of chunks, each a ``bytes`` of digit
+    values or a sequence of ints, whose reader needs no digit past depth
+    `stop` (None: all of them). Iteration, `take` and counting all read
+    it. Each digit is checked once: where the package builds the stream
     from checked or canonical digits, on construction (see ``_trusted``);
     where a caller's function yields them, as each chunk is made.
     """
 
-    __slots__ = ("base", "length", "_digits", "_chunks")
+    __slots__ = ("base", "length", "_chunks")
 
     def __init__(
         self,
@@ -104,51 +106,45 @@ class DigitStream:
         if length is not None and (not isinstance(length, int) or length < 0):
             raise DomainError(f"length must be a nonnegative int or None, got {length!r}")
         self.length = length
-
-        def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-            return _checked_chunks(factory(), b, stop)
-
-        self._chunks = chunks
-        self._digits = lambda: itertools.chain.from_iterable(chunks())
+        self._chunks = lambda stop=None: _checked_chunks(factory(), b, stop)
 
     @classmethod
-    def _trusted(
-        cls,
-        base: int,
-        digits: Callable[[], Iterator[int]],
-        length: int | None,
-        chunks: Callable[..., Iterator[_Chunk]] | None = None,
-    ) -> "DigitStream":
+    def _trusted(cls, base: int, length: int | None, chunks: Callable[..., Iterator[_Chunk]]) -> "DigitStream":
         """A stream whose digits are known to lie in [0, base): none is checked again.
 
         Only for streams the package builds: `from_digits`, `constant` and
         `with_prefix` checked their digits on construction; an expansion's
         digits come from a checked or long-division `RadixExpansion`; block
         runs are of 0, 1 and 2; and a digit text is checked whole before
-        any of it is counted. `digits()` iterates the digits and
-        `chunks(stop)` yields them in chunks (by default cut from
-        `digits()`).
+        any of it is counted. `chunks(stop=None)` yields the digits in
+        chunks.
         """
         stream = object.__new__(cls)
-        stream.base, stream.length, stream._digits = base, length, digits
-        stream._chunks = chunks or (lambda stop=None: _batches(digits(), base))
+        stream.base, stream.length, stream._chunks = base, length, chunks
         return stream
 
     def __iter__(self) -> Iterator[int]:
-        return self._digits()
+        return itertools.chain.from_iterable(self._chunks())
 
     def take(self, count: int) -> list[int]:
         """First `count` digits (fewer if the stream is shorter)."""
+        count = coerce_index(count, "count")
         if count < 0:
             raise DomainError("count must be >= 0")
-        return list(itertools.islice(self, count))
+        digits: list[int] = []
+        if count:
+            for chunk in self._chunks(count):
+                digits += chunk[: count - len(digits)]
+                if len(digits) == count:
+                    break
+        return digits
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
         """The digits of `digits`, checked here and held as one chunk (see `_check_digits`)."""
         b = _check_base(base)
         data = _check_digits(digits if isinstance(digits, (list, tuple)) else tuple(digits), b)
-        return cls._trusted(b, lambda: iter(data), len(data), lambda stop=None: iter((data,)))
+        return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
     def from_text(cls, text: str, base: int) -> "DigitStream":
@@ -186,8 +182,7 @@ class DigitStream:
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
         b = _check_base(base)
-        (digit,) = _check_digits((digit,), b)
-        return cls._trusted(b, lambda: itertools.repeat(digit), None)
+        return cls._trusted(b, None, _periodic((), _check_digits((digit,), b), b))
 
     @classmethod
     def from_function(
@@ -207,18 +202,23 @@ class DigitStream:
     @classmethod
     def from_expansion(cls, expansion: "RadixExpansion") -> "DigitStream":
         """Unbounded stream: the preperiod once, then the period forever."""
-
-        def digits() -> Iterator[int]:
-            periods = itertools.chain.from_iterable(itertools.repeat(expansion.period))
-            return itertools.chain(expansion.preperiod, periods)
-
-        return cls._trusted(expansion.base, digits, None)
+        b = expansion.base
+        return cls._trusted(b, None, _periodic(expansion.preperiod, expansion.period, b))
 
 
-def _batches(digits: Iterator[int], base: int) -> Iterator[_Chunk]:
-    """Valid `digits` in chunks of _CHUNK_DIGITS: bytes up to base 10, else tuples."""
+def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[..., Iterator[_Chunk]]:
+    """Chunks of the valid digits `pre` once, then `period` forever.
+
+    Each later chunk is the period repeated to about _CHUNK_DIGITS digits,
+    or the period once if it is longer: bytes up to base 10, else tuples.
+    """
     pack = bytes if base <= 10 else tuple
-    return iter(lambda: pack(itertools.islice(digits, _CHUNK_DIGITS)), pack())
+    pre, period = pack(pre), pack(period)
+
+    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+        return itertools.chain((pre,), itertools.repeat(period * max(1, _CHUNK_DIGITS // len(period))))
+
+    return chunks
 
 
 def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_Chunk]:
@@ -396,7 +396,7 @@ def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
         return itertools.chain((pre,), tail._chunks(None if stop is None else max(stop - len(pre), 0)))
 
-    return DigitStream._trusted(tail.base, lambda: itertools.chain(pre, tail), length, chunks)
+    return DigitStream._trusted(tail.base, length, chunks)
 
 
 _SPACE = b" \t\n\r\v\f"  # ASCII whitespace
@@ -515,11 +515,7 @@ def _text_error(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limi
 def _text_stream(raw: Callable[[], Iterable[bytes]], base: int, errors: str) -> DigitStream:
     """The stream of the digit text `raw()` yields, checked whole here and re-read on each pass."""
     length = _checked_length(raw, base, errors, base)
-
-    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-        return _digit_values(raw(), base)
-
-    return DigitStream._trusted(base, lambda: itertools.chain.from_iterable(chunks()), length, chunks)
+    return DigitStream._trusted(base, length, lambda stop=None: _digit_values(raw(), base))
 
 
 def format_expansion(expansion: RadixExpansion) -> str:

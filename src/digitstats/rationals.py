@@ -55,12 +55,15 @@ def coerce_rational(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
-def coerce_index(value, name: str) -> int:
-    """`value` as an exact int (through `operator.index`), else DomainError."""
+def coerce_index(value, name: str, least: int | None = None) -> int:
+    """`value` as an exact int (through `operator.index`), and at least `least` if given; else DomainError."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def ratio_str(value: Fraction) -> str:
@@ -77,7 +80,7 @@ def _decimal_context(digits: int) -> Context:
 
 def decimal_str(value: Fraction, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
     """Decimal rendering rounded half-even to `digits` significant digits."""
-    if digits < 1:
+    if coerce_index(digits, "digits") < 1:
         raise DomainError("need at least one significant digit")
     f = value if isinstance(value, Fraction) else Fraction(value)
     context = _decimal_context(digits)

@@ -70,21 +70,15 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     A pure function of (master_seed, trial_index), so trials can run in
     any order or in parallel and still use identical digit streams.
     """
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be >= 0, got {trial_index}")
+    trial_index = coerce_index(trial_index, "trial_index", 0)
     return mix64((master_seed + (trial_index + 1) * GOLDEN_GAMMA) & MASK64)
 
 
 def _check_size(base, count, name: str, least: int) -> tuple[int, int]:
     """Validated (base, count): 2 <= base <= 2**64 and count >= least, both ints."""
-    base = coerce_index(base, "base")
-    count = coerce_index(count, name)
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
+    base, count = coerce_index(base, "base", 2), coerce_index(count, name, least)
     if base > 1 << 64:
         raise DomainError(f"base must be <= 2**64 (one 64-bit draw per digit), got {base}")
-    if count < least:
-        raise DomainError(f"{name} must be >= {least}, got {count}")
     return base, count
 
 
@@ -168,9 +162,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         base, depth = _check_size(self.base, self.depth, "depth", 1)
-        trials = coerce_index(self.trials, "trials")
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {trials}")
+        trials = coerce_index(self.trials, "trials", 1)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "trials", trials)
@@ -220,8 +212,7 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
     band = coerce_rational(band)
     if band < 0:
         raise DomainError(f"band must be >= 0, got {band}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = coerce_index(workers, "workers", 1)
     workers = min(workers, cfg.trials, os.cpu_count() or 1)
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     if workers == 1:

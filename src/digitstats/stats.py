@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 from .core import DigitStream, RadixExpansion
 from .errors import DomainError, Infeasible
-from .rationals import coerce_rational, decimal_str, ratio_str
+from .rationals import coerce_index, coerce_rational, decimal_str
 
 __all__ = [
     "PartialStats",
@@ -277,6 +277,7 @@ def geometric_checkpoints(start: int, factor, max_depth: int) -> list[int]:
     constant ratio.
     """
     factor = coerce_rational(factor)
+    start, max_depth = coerce_index(start, "start"), coerce_index(max_depth, "max_depth")
     if start < 1 or max_depth < start:
         raise DomainError(f"need 1 <= start <= max_depth, got start={start}, max_depth={max_depth}")
     if factor <= 1:
@@ -356,19 +357,19 @@ def stats_to_csv(rows: Sequence[PartialStats]) -> str:
 def stats_to_json(rows: Sequence[PartialStats]) -> str:
     """JSON mirror of the CSV columns."""
     base = _stats_base(rows)
-    payload = {
-        "base": base,
-        "rows": [
+    body = []
+    for row in rows:
+        values = [*row.freqs, row.mean]  # normalized Fractions: str is their p/q form
+        exact, decimals = list(map(str, values)), list(map(decimal_str, values))
+        body.append(
             {
                 "n": row.n,
                 "counts": list(row.counts),
-                "freqs": [ratio_str(v) for v in row.freqs],
-                "freqs_decimal": [decimal_str(v) for v in row.freqs],
-                "mean": ratio_str(row.mean),
-                "mean_decimal": decimal_str(row.mean),
+                "freqs": exact[:-1],
+                "freqs_decimal": decimals[:-1],
+                "mean": exact[-1],
+                "mean_decimal": decimals[-1],
                 "truncated": row.truncated,
             }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        )
+    return json.dumps({"base": base, "rows": body}, indent=2) + "\n"

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import gcd
 
 import pytest
@@ -10,15 +11,28 @@ import pytest
 from digitstats import (
     DigitStream,
     DomainError,
+    ExperimentConfig,
+    FrequencyProfile,
     RadixExpansion,
+    beatty_indicator,
+    build_oscillating_schedule,
+    construct_mean_without_frequency,
+    core,
     digits_to_text,
     evaluate_expansion,
     expand_rational,
     format_expansion,
+    geometric_checkpoints,
+    no_mean_one_run_ends,
+    no_mean_zero_run_ends,
+    normality_experiment,
     parse_expansion,
+    quota_construct,
     text_to_digits,
+    trial_seed,
     with_prefix,
 )
+from digitstats.rationals import decimal_str
 
 
 def long_division_oracle(p: int, q: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -264,11 +278,72 @@ def test_digit_stream_from_expansion():
     assert stream.take(22) == list(text_to_digits("0714285714285714285714", 10))
 
 
-def test_digit_stream_from_function_calls_once_per_digit():
-    positions = []
-    stream = DigitStream.from_function(lambda n: positions.append(n) or n % 2, 2)
-    assert stream.take(5) == [1, 0, 1, 0, 1]
-    assert positions == [1, 2, 3, 4, 5]
+def test_digit_stream_from_function_calls_once_per_digit(monkeypatch):
+    for chunk in (1, 3, 7, core._CHUNK_DIGITS):
+        monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
+        positions = []
+        stream = DigitStream.from_function(lambda n: positions.append(n) or n % 2, 2)
+        assert stream.take(5) == [1, 0, 1, 0, 1]
+        assert positions == [1, 2, 3, 4, 5]
+        positions.clear()
+        assert list(islice(stream, 4)) == [1, 0, 1, 0]
+        assert positions == [1, 2, 3, 4]
+
+
+def independent_streams(base, tmp_path):
+    """(name, stream, expected digits) for every kind of stream: all its digits, or the first 300.
+
+    The expected digits are built here, not read from a stream: an
+    expansion's from p * base**k // q, block runs from the rows of their
+    spec, and digit texts are written from the digit list.
+    """
+    rng = random.Random(base)
+    digits = [rng.randrange(base) for _ in range(23)]
+    text = ("" if base <= 10 else ",").join(map(str, digits))
+    path = tmp_path / f"digits{base}.txt"
+    path.write_text(text)
+    squares = [n * n % base for n in range(1, 301)]
+    constant = base - 1
+    cases = [
+        ("from_digits", DigitStream.from_digits(digits, base), digits),
+        ("init", DigitStream(base, lambda: iter(digits), len(digits)), digits),
+        ("from_function", DigitStream.from_function(lambda n: digits[n - 1], base, len(digits)), digits),
+        ("from_function unbounded", DigitStream.from_function(lambda n: n * n % base, base), squares),
+        ("from_text", DigitStream.from_text(text, base), digits),
+        ("from_file", DigitStream.from_file(path, base), digits),
+        ("with_prefix", with_prefix(digits[:5], DigitStream.from_digits(digits[5:], base)), digits),
+        ("with_prefix constant", with_prefix(digits[:4], DigitStream.constant(constant, base)), digits[:4] + [constant] * 296),
+        ("constant", DigitStream.constant(constant, base), [constant] * 300),
+    ]
+    # periods of 1, 2 and (for every base here) more than 7 digits, with and without a preperiod
+    for p, q in [(0, 1), (1, base * base), (1, base + 1), (5, 97), (13, 6 * 97 * base)]:
+        expected = [p * base**k // q % base for k in range(1, 301)]
+        cases.append((f"from_expansion {p}/{q}", DigitStream.from_expansion(expand_rational(p, q, base)), expected))
+    if base == 3:
+        spec, blocks = construct_mean_without_frequency(1, "1/5", "2/5", "1/20", 8)
+        block_digits = [d for row in spec.rows for d, run in enumerate(row) for _ in range(run)]
+        cases.append(("block", blocks, block_digits))
+    return cases
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 11, 16, 257])
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_take_and_iteration_match_independent_digits_at_every_chunk_edge(monkeypatch, tmp_path, base, chunk):
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
+    for name, stream, expected in independent_streams(base, tmp_path):
+        bounded = stream.length is not None
+        assert not bounded or stream.length == len(expected), name
+        # where the stream's own chunks end, and where chunks cut every `chunk` digits end
+        edges = list(accumulate(map(len, islice(stream._chunks(), 12))))
+        edges += range(chunk, 12 * chunk + 1, chunk)
+        length = len(expected)
+        counts = {0, 1, length, length + 1, length + 2 * chunk + 1}
+        counts |= {edge + d for edge in edges for d in (-1, 0, 1)}
+        for n in sorted(c for c in counts if 0 <= c and (bounded or c <= length)):
+            want = expected[:n]
+            assert stream.take(n) == want, (name, n)
+            assert list(islice(iter(stream), n)) == want, (name, n)
+        assert {type(d) for d in stream.take(40)} == {int}, name
 
 
 def test_with_prefix_identity_and_concatenation():
@@ -367,3 +442,27 @@ def test_text_to_digits_leaves_range_to_the_stream():
         DigitStream.from_digits(digits, 3)
     with pytest.raises(DomainError):
         parse_expansion("0.(5)_3")
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("count", lambda bad: DigitStream.constant(0, 2).take(bad)),
+        ("count", lambda bad: quota_construct(FrequencyProfile(2, (1, 0)), bad)),
+        ("horizon", lambda bad: build_oscillating_schedule("1/5", "2/5", "1/20", bad)),
+        ("blocks", lambda bad: construct_mean_without_frequency(1, "1/5", "2/5", "1/20", blocks=bad)),
+        ("n", lambda bad: beatty_indicator("1/3", bad)),
+        ("start", lambda bad: geometric_checkpoints(bad, 2, 10)),
+        ("max_depth", lambda bad: geometric_checkpoints(1, 2, bad)),
+        ("max_depth", lambda bad: no_mean_zero_run_ends(bad)),
+        ("max_depth", lambda bad: no_mean_one_run_ends(bad)),
+        ("trial_index", lambda bad: trial_seed(1, bad)),
+        ("workers", lambda bad: normality_experiment(ExperimentConfig(3, 10, 2, 1), 0, workers=bad)),
+        ("digits", lambda bad: decimal_str(Fraction(1, 3), bad)),
+    ],
+)
+@pytest.mark.parametrize("bad", [2.5, 10.5, "3", None, Fraction(3)])
+def test_public_integer_sizes_reject_non_integers(name, call, bad):
+    with pytest.raises(DomainError) as caught:
+        call(bad)
+    assert str(caught.value) == f"{name} must be an integer, got {bad!r}"

@@ -155,24 +155,28 @@ def test_running_stats_matches_prefix_counts_for_every_chunk_kind(monkeypatch, c
     # block runs as bytes, and chunks cut at every checkpoint
     monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
     rng = random.Random(chunk)
-    _, blocks = construct_mean_without_frequency(1, "1/5", "2/5", "1/20", 6)
+    spec, blocks = construct_mean_without_frequency(1, "1/5", "2/5", "1/20", 6)
+    block_digits = [d for row in spec.rows for d, run in enumerate(row) for _ in range(run)]
     for _ in range(60):
         base = rng.choice([2, 3, 10, 11, 16])
         digits = [rng.randrange(base) for _ in range(rng.randint(1, 40))]
         q = rng.randint(1, 200)
-        streams = [
-            DigitStream.from_digits(digits, base),
-            DigitStream.from_function(lambda n: digits[n - 1], base, length=len(digits)),
-            DigitStream.from_text(digits_to_text(digits, base), base),
-            with_prefix(digits[:3], DigitStream.from_digits(digits[3:], base)),
-            with_prefix(digits[:2], DigitStream.from_function(lambda n: digits[n + 1], base, max(len(digits) - 2, 0))),
-            DigitStream.from_expansion(expand_rational(rng.randrange(q), q, base)),
-            DigitStream.constant(rng.randrange(base), base),
-            blocks,
+        expansion = expand_rational(rng.randrange(q), q, base)
+        periods = list(expansion.period) * (60 // len(expansion.period) + 1)
+        constant = rng.randrange(base)
+        cases = [
+            (DigitStream.from_digits(digits, base), digits),
+            (DigitStream.from_function(lambda n: digits[n - 1], base, length=len(digits)), digits),
+            (DigitStream.from_text(digits_to_text(digits, base), base), digits),
+            (with_prefix(digits[:3], DigitStream.from_digits(digits[3:], base)), digits),
+            (with_prefix(digits[:2], DigitStream.from_function(lambda n: digits[n + 1], base, max(len(digits) - 2, 0))), digits),
+            (DigitStream.from_expansion(expansion), list(expansion.preperiod) + periods),
+            (DigitStream.constant(constant, base), [constant] * 60),
+            (blocks, block_digits),
         ]
         marks = sorted(rng.sample(range(1, 50), rng.randint(1, 8)))
-        for stream in streams:
-            expected = reference_stats(stream.take(60), stream.base, marks)
+        for stream, expected_digits in cases:
+            expected = reference_stats(expected_digits[:60], stream.base, marks)
             rows = running_stats(stream, marks)
             assert [(r.n, r.counts, r.truncated) for r in rows] == expected
 
