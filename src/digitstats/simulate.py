@@ -1,8 +1,13 @@
 """Reproducible Monte Carlo digit experiments.
 
 Digits are drawn i.i.d.-uniform from a counter-based 64-bit generator
-(SplitMix64) with rejection sampling, so results are bit-identical across
-machines, runs, and degrees of parallelism. Each trial derives its own
+(SplitMix64, Steele, Lea & Flood, OOPSLA 2014). Each accepted 64-bit draw
+gives k base-s digits at once: Lemire's multiply-shift threshold ("Fast
+random integer generation in an interval", ACM TOMACS 2019) accepts a
+draw w so that floor(w * s**k / 2**64) is exactly uniform on [0, s**k),
+and its k base-s digits, leading digit first, are the next k digits of
+the stream. Results are bit-identical across machines, runs, and degrees
+of parallelism. Each trial derives its own
 seed from the master seed and the trial index, making trials independent
 and order-insensitive; aggregation is a pure function of the per-trial
 results in index order.
@@ -18,13 +23,11 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
-from operator import mod
+from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
 from .errors import DomainError
@@ -46,9 +49,12 @@ __all__ = [
 ]
 
 # Algorithm identifier recorded in every summary. The generator is
-# SplitMix64: state_i = seed + i*GOLDEN_GAMMA (mod 2^64), output mix64(state_i);
-# digits are taken by rejection below the largest multiple of the base.
-RNG_ID = "splitmix64-rejection-v1"
+# SplitMix64: state_i = seed + i*GOLDEN_GAMMA (mod 2^64), output w_i = mix64(state_i).
+# With k = _digits_per_draw(base), w_i is accepted iff (w_i * base**k) mod 2^64
+# >= 2^64 mod base**k, and then gives the k leading base-`base` digits of
+# w_i / 2^64. Version 1 ("splitmix64-rejection-v1", one digit per draw by
+# `mod`) is not produced by this version: a summary's rng_id names its generator.
+RNG_ID = "splitmix64-multidigit-v2"
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -88,6 +94,9 @@ LANES = 1024
 # byte order) that picks each lane's low word, first lane first: big-endian
 # bytes start with the last lane's high word, so the stride runs backwards.
 _LOW_WORD_STEP = 2 if sys.byteorder == "little" else -2
+# uniform_digit_trial counts digits one byte per lane and keeps one count per
+# digit value, so it refuses larger bases.
+MAX_COUNTED_BASE = 256
 
 
 @cache
@@ -102,21 +111,48 @@ def _lane_constants() -> tuple[int, int, int]:
     return ones, GOLDEN_GAMMA * ramp, ones * MASK64
 
 
-def _digit_blocks(base: int, count: int, seed: int) -> Iterator[Iterator[int]]:
+@cache
+def _digits_per_draw(base: int) -> int:
+    """k, the number of base-`base` digits taken from each accepted draw.
+
+    A draw yields k digits with probability 1 - (2**64 mod base**k) / 2**64,
+    so k is the one (with base**k <= 2**64) that maximises the expected
+    digits per draw: 38 for base 3, 18 for base 10, 64 for base 2 and 1
+    for every base above 2**32.
+    """
+    return max(
+        (k for k in range(1, 65) if base**k <= 1 << 64),
+        key=lambda k: k * ((1 << 64) - (1 << 64) % base**k),
+    )
+
+
+def _low_words(packed: int, lanes: int) -> memoryview:
+    """The low 64-bit word of each of `lanes` 128-bit lanes, first lane first."""
+    return memoryview(packed.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_LOW_WORD_STEP]
+
+
+def _digit_blocks(base: int, count: int, seed: int) -> Iterator[tuple[int, int, int, Iterator[int]]]:
     """The first `count` digits of the seeded stream, a block at a time.
 
     SplitMix64 states are seed + i*GOLDEN_GAMMA, so a block of draws is one
     big int with a 64-bit draw in each 128-bit lane: a lane's state is below
     2**128 before its mask, and mix64's products of a 64-bit lane by a
-    64-bit constant stay below 2**128, so no carry crosses a lane. The
-    last block has only as many lanes as digits are still needed, so no
-    draw is made that the one-draw-at-a-time loop would not make.
+    64-bit constant stay below 2**128, so no carry crosses a lane. A block
+    draws only as many lanes as could still be needed, ceil(count / k).
+
+    Each block is (lanes, accepted, kept, rounds). `accepted` has bit 0 of
+    lane i set iff draw i passed the threshold test; `kept` is how many of
+    the block's digits belong to the first `count`. `rounds` yields k
+    packed ints; round j holds digit j of every draw, one per lane. The
+    digits of rejected draws, and of the last draw past `count`, are 0.
     """
+    k = _digits_per_draw(base)
+    power = base**k
+    gap = (1 << 64) - (1 << 64) % power  # adding it carries into bit 64 iff a draw is accepted
     ones, gamma_ramp, low = _lane_constants()
-    gap = (1 << 64) % base  # draws at or above 2**64 - gap are rejected
     state = seed & MASK64
     while count > 0:
-        lanes = min(count, LANES)
+        lanes = min(-(-count // k), LANES)
         if lanes < LANES:
             keep = (1 << (128 * lanes)) - 1
             ones, gamma_ramp, low = ones & keep, gamma_ramp & keep, low & keep
@@ -124,33 +160,62 @@ def _digit_blocks(base: int, count: int, seed: int) -> Iterator[Iterator[int]]:
         z = ((z ^ (z >> 30)) & low) * _MIX_MULT_1 & low
         z = ((z ^ (z >> 27)) & low) * _MIX_MULT_2 & low
         z = (z ^ (z >> 31)) & low
-        draws = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_LOW_WORD_STEP]
-        # adding gap carries into a lane's bit 64 exactly when its draw is rejected
-        if gap and (z + gap * ones) >> 64 & ones:
-            limit = (1 << 64) - gap
-            draws = [w for w in draws if w < limit]
+        accepted = ((z * power & low) + gap * ones) >> 64 & ones
+        if accepted != ones:
+            z &= accepted * MASK64
         state = (state + lanes * GOLDEN_GAMMA) & MASK64
-        count -= len(draws)
-        yield map(mod, draws, repeat(base))
+        digits = accepted.bit_count() * k
+        # only the last draw of the last block can run past `count`
+        yield lanes, accepted, min(digits, count), _rounds(z, base, k, low, k + min(0, count - digits))
+        count -= digits
+
+
+def _rounds(draws: int, base: int, k: int, low: int, top_digits: int) -> Iterator[int]:
+    """The k leading base-`base` digits of each lane's draw / 2**64, a round at a time.
+
+    The top lane gives only its first `top_digits` digits and 0 after them.
+    """
+    for j in range(k):
+        if j == top_digits:
+            draws &= low >> 128
+        product = draws * base
+        yield product >> 64 & low
+        draws = product & low
 
 
 def uniform_digits(base: int, count: int, seed: int) -> list[int]:
     """`count` i.i.d.-uniform digits in [0, base) from the seeded generator.
 
-    Each 64-bit draw is accepted only below the largest multiple of
-    `base`, so every digit is exactly equally likely (no modulo bias).
+    A draw w is accepted only when (w * base**k) mod 2**64 is at least
+    2**64 mod base**k (Lemire's threshold), so floor(w * base**k / 2**64)
+    is exactly uniform on [0, base**k); its k base-`base` digits, leading
+    digit first, are the next k digits of the stream.
     """
     base, count = _check_size(base, count, "count", 0)
-    return list(chain.from_iterable(_digit_blocks(base, count, seed)))
+    digits: list[int] = []
+    for lanes, accepted, kept, rounds in _digit_blocks(base, count, seed):
+        by_draw = compress(zip(*(_low_words(r, lanes) for r in rounds)), _low_words(accepted, lanes))
+        digits.extend(islice(chain.from_iterable(by_draw), kept))
+    return digits
 
 
 def uniform_digit_trial(base: int, depth: int, seed: int) -> PartialStats:
-    """Depth-`depth` statistics of one seeded uniform digit stream."""
+    """Depth-`depth` statistics of one seeded uniform digit stream.
+
+    Digits are counted one byte per lane, so `base` may be at most
+    MAX_COUNTED_BASE (256); a larger base raises DomainError.
+    """
     base, depth = _check_size(base, depth, "depth", 1)
-    counts: Counter[int] = Counter()
-    for block in _digit_blocks(base, depth, seed):
-        counts.update(block)
-    return PartialStats(base, depth, tuple(counts[d] for d in range(base)))
+    if base > MAX_COUNTED_BASE:
+        raise DomainError(f"base must be <= {MAX_COUNTED_BASE} to count each digit value, got {base}")
+    counts = [0] * base
+    for lanes, _, kept, rounds in _digit_blocks(base, depth, seed):
+        # a digit below 256 is the first byte of its lane, little-endian
+        block = b"".join(digits.to_bytes(16 * lanes, "little")[::16] for digits in rounds)
+        counts = [count + block.count(d) for d, count in enumerate(counts)]
+        # rejected draws and digits past `depth` were counted as zeros
+        counts[0] -= len(block) - kept
+    return PartialStats(base, depth, tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -197,8 +262,15 @@ class ExperimentSummary:
 
 
 def _trial_mean(base: int, depth: int, seed: int) -> Fraction:
-    """The digit mean of one trial, from its digit sum: no count per digit value."""
-    return Fraction(sum(map(sum, _digit_blocks(base, depth, seed))), depth)
+    """The digit mean of one trial, from its digit sum: no object per digit.
+
+    A block's rounds are added lane-wise, so only one sum per lane is
+    unpacked: a lane's sum is at most k*(base-1) < base**k <= 2**64.
+    """
+    total = 0
+    for lanes, _, _, rounds in _digit_blocks(base, depth, seed):
+        total += sum(_low_words(sum(rounds), lanes))
+    return Fraction(total, depth)
 
 
 def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> ExperimentSummary:

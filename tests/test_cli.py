@@ -231,7 +231,7 @@ def test_simulate_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["rng_id"] == "splitmix64-rejection-v1"
+    assert payload["rng_id"] == "splitmix64-multidigit-v2"
     assert len(payload["per_trial"]) == 6
 
 

@@ -20,7 +20,7 @@ from digitstats import (
     uniform_digit_trial,
     uniform_digits,
 )
-from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64
+from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64, MAX_COUNTED_BASE, _digits_per_draw, _trial_mean
 
 
 def test_generator_reference_vectors():
@@ -79,38 +79,81 @@ def test_uniform_digits_validation():
     assert uniform_digits(Index(3), Index(5), seed=4) == uniform_digits(3, 5, seed=4)
 
 
+def reference_k(base):
+    """Digits per draw: the k with base**k <= 2**64 that maximises k * (2**64 - 2**64 % base**k)."""
+    best_k, best_yield = 0, 0
+    for k in range(1, 65):
+        if base**k > 2**64:
+            break
+        if k * (2**64 - 2**64 % base**k) > best_yield:
+            best_k, best_yield = k, k * (2**64 - 2**64 % base**k)
+    return best_k
+
+
 def reference_digits(base, count, seed):
-    """The generator one draw at a time, straight from its definition."""
-    limit = (1 << 64) - (1 << 64) % base
+    """The v2 generator one draw at a time, straight from its definition."""
+    k = reference_k(base)
+    threshold = 2**64 % base**k
     digits = []
     state = seed & MASK64
     while len(digits) < count:
         state = (state + GOLDEN_GAMMA) & MASK64
         draw = mix64(state)
-        if draw < limit:
-            digits.append(draw % base)
-    return digits
+        if draw * base**k % 2**64 < threshold:
+            continue  # Lemire's test: floor(draw * base**k / 2**64) would be biased
+        fraction = draw
+        for _ in range(k):
+            product = fraction * base
+            digits.append(product >> 64)
+            fraction = product % 2**64
+    return digits[:count]
 
 
-def test_stream_is_still_rejection_v1():
-    assert RNG_ID == "splitmix64-rejection-v1"
-    # digits the one-draw-at-a-time generator gave before the block kernel
-    assert uniform_digits(3, 6, seed=0) == [1, 0, 1, 1, 1, 0]
-    assert uniform_digits(10, 8, seed=MASK64) == [6, 9, 1, 2, 6, 5, 5, 6]
+def test_digits_per_draw():
+    for base, k in ((3, 38), (10, 18), (2, 64), (2**64, 1), (2**32, 2), (2**32 + 1, 1)):
+        assert _digits_per_draw(base) == reference_k(base) == k, base
+
+
+def test_stream_is_multidigit_v2():
+    assert RNG_ID == "splitmix64-multidigit-v2"
+    # digits of the one-draw-at-a-time v2 reference
+    assert uniform_digits(3, 6, seed=0) == [2, 1, 2, 2, 1, 1]
+    # seed 30 rejects its first and third base-3 draws: digits 0..37 come
+    # from the second draw and digits 38.. from the fourth
+    assert uniform_digits(3, 40, seed=30)[:6] == [2, 0, 1, 1, 1, 0]
+    assert uniform_digits(3, 40, seed=30)[38:] == [0, 2]
+    # 18 digits per draw: the second draw starts at digit 18
+    assert uniform_digits(10, 20, seed=MASK64) == [8, 9, 3, 9, 4, 2, 9, 2, 0, 2, 8, 3, 1, 8, 4, 5, 0, 7, 9, 1]
+    # base 2**64 takes each draw whole: SplitMix64's published outputs for seed 0
+    assert uniform_digits(2**64, 3, seed=0) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 # 2**63 + 1 and 3 * 2**62 reject about half and a quarter of all draws
 @pytest.mark.parametrize("base", [2, 3, 10, 2**63 + 1, 3 * 2**62, 2**64])
 @pytest.mark.parametrize("seed", [0, MASK64, trial_seed(2026, 17)])
 def test_block_kernel_matches_draw_by_draw_reference(base, seed):
-    counts = [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 7]
+    k = reference_k(base)
+    counts = {0, 1, k - 1, k, k + 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 7, LANES * k - 1, LANES * k + 1}
     reference = reference_digits(base, max(counts), seed)
-    for count in counts:
+    for count in sorted(counts):
         assert uniform_digits(base, count, seed) == reference[:count], count
+        if count:
+            assert _trial_mean(base, count, seed) == Fraction(sum(reference[:count]), count), count
         if base <= 10 and count:
             trial = uniform_digit_trial(base, count, seed)
             expected = Counter(reference[:count])
             assert trial.counts == tuple(expected[d] for d in range(base)), count
+
+
+def test_trial_bounds_the_base_it_counts():
+    # one count per digit value: 2**64 values used to run without end
+    for base in (MAX_COUNTED_BASE + 1, 2**64):
+        with pytest.raises(DomainError, match=f"base must be <= {MAX_COUNTED_BASE}"):
+            uniform_digit_trial(base, 10, seed=1)
+    count = 3 * LANES + 7
+    expected = Counter(reference_digits(MAX_COUNTED_BASE, count, 1))
+    stats = uniform_digit_trial(MAX_COUNTED_BASE, count, seed=1)
+    assert stats.counts == tuple(expected[d] for d in range(MAX_COUNTED_BASE))
 
 
 def test_trial_never_holds_its_digits():
