@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
@@ -48,12 +48,11 @@ __all__ = [
     "summary_to_json",
 ]
 
-# Algorithm identifier recorded in every summary. The generator is
-# SplitMix64: state_i = seed + i*GOLDEN_GAMMA (mod 2^64), output w_i = mix64(state_i).
-# With k = _digits_per_draw(base), w_i is accepted iff (w_i * base**k) mod 2^64
-# >= 2^64 mod base**k, and then gives the k leading base-`base` digits of
-# w_i / 2^64. Version 1 ("splitmix64-rejection-v1", one digit per draw by
-# `mod`) is not produced by this version: a summary's rng_id names its generator.
+# Algorithm identifier recorded in every summary; it changes whenever the
+# digits of some seed do. The generator is SplitMix64: state_i = seed +
+# i*GOLDEN_GAMMA (mod 2^64), output w_i = mix64(state_i). With k =
+# _digits_per_draw(base), w_i is accepted iff (w_i * base**k) mod 2^64 >=
+# 2^64 mod base**k, and then gives the k leading base-`base` digits of w_i / 2^64.
 RNG_ID = "splitmix64-multidigit-v2"
 
 MASK64 = (1 << 64) - 1
@@ -111,7 +110,7 @@ def _lane_constants() -> tuple[int, int, int]:
     return ones, GOLDEN_GAMMA * ramp, ones * MASK64
 
 
-@cache
+@lru_cache(maxsize=64)  # about 0.1 ms to compute; once per trial otherwise
 def _digits_per_draw(base: int) -> int:
     """k, the number of base-`base` digits taken from each accepted draw.
 
