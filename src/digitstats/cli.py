@@ -163,8 +163,8 @@ def _cmd_digits(args) -> _Output:
 def _cmd_stats(args) -> _Output:
     path = None if args.digits_file == "-" else args.digits_file
     try:
-        if path is None:  # stdin is read whole, as text
-            stream = DigitStream.from_text(sys.stdin.read(), args.base)
+        if path is None:  # stdin is read whole, as bytes, and checked as a file is
+            stream = DigitStream.from_text(sys.stdin.buffer.read(), args.base)
         else:
             stream = DigitStream.from_file(path, args.base)
         if args.checkpoints is None:
@@ -176,9 +176,6 @@ def _cmd_stats(args) -> _Output:
         rows = running_stats(stream, marks)
     except OSError as exc:
         raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:  # stdin that is not UTF-8
-        bad = exc.object[exc.start : exc.end]
-        raise DomainError(f"invalid digit character {bad!r}: the input is not UTF-8") from None
     return _Output(
         json=lambda: stats_to_json(rows),
         table=lambda: _Table(*stats_table(rows, freq_decimals=False)),

@@ -47,13 +47,15 @@ def _check_base(base: int) -> int:
     return base
 
 
-def _check_digits(digits: Sequence, base: int) -> _Chunk:
+def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chunk:
     """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints.
 
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
     ``bytes()`` conversion does both in C, and one ``translate`` checks
-    the range.
+    the range. Otherwise DomainError names the first bad digit by its
+    repr, as out of range; when `digits` are a lazy stream's digits after
+    depth `depth`, one that is not an integer is named by its depth.
     """
     try:
         if base <= 256:
@@ -66,10 +68,12 @@ def _check_digits(digits: Sequence, base: int) -> _Chunk:
                 return values
     except (TypeError, ValueError):
         pass
-    for digit in digits:
+    for position, digit in enumerate(digits, (depth or 0) + 1):
         try:
             value = operator.index(digit)
-        except TypeError:
+        except TypeError as exc:
+            if depth is not None:
+                raise DomainError(f"the digit at depth {position} is not an integer: {exc}") from exc
             value = -1
         if not 0 <= value < base:
             raise DomainError(f"digit {digit!r} out of range for base {base}")
@@ -103,9 +107,7 @@ class DigitStream:
     ) -> None:
         """Stream of the digits `factory()` yields, each checked as it is read."""
         self.base = b = _check_base(base)
-        if length is not None and (not isinstance(length, int) or length < 0):
-            raise DomainError(f"length must be a nonnegative int or None, got {length!r}")
-        self.length = length
+        self.length = None if length is None else coerce_index(length, "length", 0)
         self._chunks = lambda stop=None: _checked_chunks(factory(), b, stop)
 
     @classmethod
@@ -147,15 +149,16 @@ class DigitStream:
         return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
-    def from_text(cls, text: str, base: int) -> "DigitStream":
-        """The digits of `text` in the digit-text format (see :func:`text_to_digits`).
+    def from_text(cls, text: str | bytes, base: int) -> "DigitStream":
+        """The digits of `text`, a str or UTF-8 bytes, in the digit-text format.
 
-        The text is checked whole here, so a digit out of range is an error
+        See :func:`text_to_digits`. The text is checked whole here, as
+        :meth:`from_file` checks a file, so a digit out of range is an error
         too. The digits are held as bytes up to base 10 and as ints above.
         """
         b = _check_base(base)
-        data = [text.encode("utf-8", "surrogatepass")]
-        return _text_stream(lambda: data, b, "surrogatepass")
+        data = [_ascii(text, b) if isinstance(text, str) else text]
+        return _text_stream(lambda: data, b)
 
     @classmethod
     def from_file(cls, path: str | os.PathLike, base: int) -> "DigitStream":
@@ -177,7 +180,7 @@ class DigitStream:
                     raise DomainError(f"{os.fspath(path)!r} changed after it was checked")
                 yield from iter(functools.partial(file.read, _CHUNK_BYTES), b"")
 
-        return _text_stream(raw, b, "strict")
+        return _text_stream(raw, b)
 
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
@@ -193,11 +196,12 @@ class DigitStream:
     ) -> "DigitStream":
         """Stream whose digit at 1-based position n is position_to_digit(n)."""
 
-        def factory() -> Iterator[int]:
-            positions = itertools.count(1) if length is None else range(1, length + 1)
+        def factory() -> Iterator[int]:  # reads the length the stream checked
+            positions = itertools.count(1) if stream.length is None else range(1, stream.length + 1)
             return map(position_to_digit, positions)
 
-        return cls(base, factory, length)
+        stream = cls(base, factory, length)
+        return stream
 
     @classmethod
     def from_expansion(cls, expansion: "RadixExpansion") -> "DigitStream":
@@ -232,28 +236,8 @@ def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_
         raw = tuple(itertools.islice(digits, 1 if stop is None else min(_CHUNK_DIGITS, stop - depth)))
         if not raw:
             return
-        yield _check_chunk(raw, base, depth)
+        yield _check_digits(raw, base, depth)
         depth += len(raw)
-
-
-def _check_chunk(raw: tuple, base: int, depth: int) -> _Chunk:
-    """`raw`, the digits after depth `depth`, checked as `_check_digits` checks them.
-
-    Raises DomainError naming the first digit that is not an integer or
-    not in range.
-    """
-    try:
-        return _check_digits(raw, base)
-    except DomainError:
-        pass
-    for position, digit in enumerate(raw, depth + 1):
-        try:
-            digit = operator.index(digit)
-        except TypeError as exc:
-            raise DomainError(f"the digit at depth {position} is not an integer: {exc}") from exc
-        if not 0 <= digit < base:
-            raise DomainError(f"digit {digit!r} out of range for base {base}")
-    raise AssertionError("unreachable: some digit failed the check")
 
 
 @dataclass(frozen=True)
@@ -423,13 +407,26 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     For bases up to 10 every digit is one ASCII character ``0``-``9``;
     above 10 digits are ASCII ``[0-9]+`` tokens separated by commas or
     whitespace. Anything else, such as non-ASCII digits, signs or
-    underscores, raises DomainError. Only the syntax is checked here: the
-    stream or expansion built from the digits checks that they lie below
-    the base.
+    underscores, raises DomainError naming the first such character.
+    Only the syntax is checked here: the stream or expansion built from
+    the digits checks that they lie below the base. The text goes through
+    the same byte reader as a digit file.
     """
-    data = [text.encode("utf-8", "surrogatepass")]
-    _checked_length(lambda: data, base, "surrogatepass", None)
+    data = [_ascii(text, base)]
+    _checked_length(lambda: data, base, None)
     return tuple(itertools.chain.from_iterable(_digit_values(data, base)))
+
+
+def _ascii(text: str, base: int) -> bytes:
+    """`text` as ASCII bytes for the digit-text reader.
+
+    Digit text is ASCII, so a `text` that is not holds a fault: its first
+    character that is not digit text is named here.
+    """
+    if not text.isascii():
+        bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
+        raise DomainError(f"invalid digit character {bad.group()!r}")
+    return text.encode("ascii")
 
 
 def _digit_values(raw: Iterable[bytes], base: int) -> Iterator[_Chunk]:
@@ -452,14 +449,13 @@ def _digit_values(raw: Iterable[bytes], base: int) -> Iterator[_Chunk]:
         yield (int(carry),)
 
 
-def _checked_length(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limit: int | None) -> int:
+def _checked_length(raw: Callable[[], Iterable[bytes]], base: int, limit: int | None) -> int:
     """The number of digits in the digit text that `raw()` yields in chunks.
 
     Digits must lie below `limit`; None checks the syntax only. Valid
     text is read once: up to base 10 one ``bytes.translate`` per chunk
     checks syntax and range together, and above, the tokens are read too.
     Text that fails is read again by `_text_error` for the error to raise.
-    `errors` is the UTF-8 error handler that text is decoded with.
     """
     allowed = (_DIGIT_CHARS[:limit] if base <= 10 else _DIGIT_CHARS + b",") + _SPACE
 
@@ -478,10 +474,10 @@ def _checked_length(raw: Callable[[], Iterable[bytes]], base: int, errors: str, 
         return length
     except ValueError:  # a character outside `allowed`, a token longer than int() reads, or a digit too large
         pass  # leave the handler first, so that no reader of this pass stays open
-    raise _text_error(raw, base, errors, limit)
+    raise _text_error(raw, base, limit)
 
 
-def _text_error(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limit: int | None) -> DomainError:
+def _text_error(raw: Callable[[], Iterable[bytes]], base: int, limit: int | None) -> DomainError:
     """The fault of a digit text that `_checked_length` rejected.
 
     The text is read in chunks, and the fault named is the one reading it
@@ -489,7 +485,7 @@ def _text_error(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limi
     first character that is not digit text, else a token too long for
     int() anywhere, else the first digit not below `limit`.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")(errors)
+    decoder = codecs.getincrementaldecoder("utf-8")()
     not_text = _NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT
     bad = None
     try:
@@ -512,9 +508,9 @@ def _text_error(raw: Callable[[], Iterable[bytes]], base: int, errors: str, limi
     return DomainError(f"digit {first_out} out of range for base {base}")
 
 
-def _text_stream(raw: Callable[[], Iterable[bytes]], base: int, errors: str) -> DigitStream:
-    """The stream of the digit text `raw()` yields, checked whole here and re-read on each pass."""
-    length = _checked_length(raw, base, errors, base)
+def _text_stream(raw: Callable[[], Iterable[bytes]], base: int) -> DigitStream:
+    """The stream of the UTF-8 digit text `raw()` yields, checked whole here and re-read on each pass."""
+    length = _checked_length(raw, base, base)
     return DigitStream._trusted(base, length, lambda stop=None: _digit_values(raw(), base))
 
 

@@ -83,7 +83,7 @@ def _check_size(base, count, name: str, least: int) -> tuple[int, int]:
     """Validated (base, count): 2 <= base <= 2**64 and count >= least, both ints."""
     base, count = coerce_index(base, "base", 2), coerce_index(count, name, least)
     if base > 1 << 64:
-        raise DomainError(f"base must be <= 2**64 (one 64-bit draw per digit), got {base}")
+        raise DomainError(f"base must be <= 2**64 (a 64-bit draw holds no digit of a larger base), got {base}")
     return base, count
 
 

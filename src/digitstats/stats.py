@@ -128,11 +128,9 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     If the stream ends before the last checkpoint, the final row reports
     the statistics at the actual length with ``truncated=True``.
     """
-    marks = list(checkpoints)
+    marks = [coerce_index(m, "checkpoint", 1) for m in checkpoints]
     if not marks:
         raise DomainError("checkpoints must be non-empty")
-    if any(not isinstance(m, int) or m < 1 for m in marks):
-        raise DomainError(f"checkpoints must be integers >= 1, got {marks}")
     if any(later <= earlier for earlier, later in zip(marks, marks[1:])):
         raise DomainError(f"checkpoints must be strictly ascending, got {marks}")
 

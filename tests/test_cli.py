@@ -61,7 +61,7 @@ def test_malformed_rational_is_usage_error(capsys):
 
 
 def test_stats_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("020202\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"020202\n")))
     code, out, _ = run(
         capsys,
         ["stats", "--base", "3", "--checkpoints", "list:3,6", "--format", "csv"],
@@ -96,7 +96,7 @@ def test_stats_from_file_with_out(capsys, tmp_path):
 
 
 def test_stats_geometric_checkpoints(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("0" * 100))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0" * 100)))
     code, out, _ = run(
         capsys,
         ["stats", "--base", "2", "--checkpoints", "geometric:10,2,100", "--format", "json"],
@@ -114,13 +114,13 @@ def test_stats_geometric_checkpoints(capsys, monkeypatch):
     ],
 )
 def test_stats_geometric_checkpoints_domain_error(capsys, monkeypatch, spec, message):
-    monkeypatch.setattr("sys.stdin", io.StringIO("0" * 100))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0" * 100)))
     code, out, err = run(capsys, ["stats", "--base", "2", "--checkpoints", spec])
     assert (code, out, err) == (1, "", message)
 
 
 def test_stats_rejects_bad_digit(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("0102"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0102")))
     code, _, err = run(capsys, ["stats", "--base", "2"])
     assert code == 1
     assert err.startswith("error: domain:")
@@ -240,7 +240,7 @@ def test_simulate_rejects_base_above_2_64(capsys, base):
     # such a base leaves no 64-bit draw acceptable; it used to loop forever
     code, out, err = run(capsys, ["simulate", "--base", base, "--n", "10", "--trials", "2", "--seed", "1"])
     assert (code, out) == (1, "")
-    assert err == f"error: domain: base must be <= 2**64 (one 64-bit draw per digit), got {base}\n"
+    assert err == f"error: domain: base must be <= 2**64 (a 64-bit draw holds no digit of a larger base), got {base}\n"
 
 
 def test_simulate_base_2_64_finishes():
@@ -286,7 +286,7 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     [("12²", "10"), ("1٣", "10"), ("1,٣", "16"), ("1_0", "16"), ("+2", "16")],
 )
 def test_stats_rejects_non_ascii_digits_and_signs(capsys, monkeypatch, text, base):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     code, out, err = run(capsys, ["stats", "--base", base])
     assert (code, out) == (1, "")
     assert err.startswith("error: domain: invalid digit character")
@@ -294,7 +294,7 @@ def test_stats_rejects_non_ascii_digits_and_signs(capsys, monkeypatch, text, bas
 
 
 def test_stats_base16_tokens(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("15,0\n10 10,3\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"15,0\n10 10,3\n")))
     code, out, _ = run(capsys, ["stats", "--base", "16", "--format", "json"])
     assert code == 0
     assert json.loads(out)["rows"][0]["counts"] == [1, 0, 0, 1] + [0] * 6 + [2] + [0] * 4 + [1]

@@ -28,6 +28,7 @@ from digitstats import (
     normality_experiment,
     parse_expansion,
     quota_construct,
+    running_stats,
     text_to_digits,
     trial_seed,
     with_prefix,
@@ -236,15 +237,37 @@ def test_every_public_digit_check_keeps_plain_ints(base):
 def test_public_digit_checks_reject_with_the_same_message(base):
     for bad in (-1, base, 2**70, -(2**70), Index(base), Index(-1), 1.0, "1", None):
         message = f"digit {bad!r} out of range for base {base}"
-        for build in (
+        builds = [
             lambda: DigitStream.from_digits([0, bad, 1.5], base),
             lambda: DigitStream.constant(bad, base),
             lambda: with_prefix([1, bad], DigitStream.constant(0, base)),
             lambda: RadixExpansion(base, (0,), (1, bad)),
-        ):
+        ]
+        if not isinstance(bad, (float, str, type(None))):  # a lazy stream names a non-integer by its depth
+            lazies = (DigitStream(base, lambda: iter([0, bad])), DigitStream.from_function([0, 0, bad].__getitem__, base))
+            for lazy in lazies:
+                builds += [lambda lazy=lazy: lazy.take(2), lambda lazy=lazy: running_stats(lazy, [2])]
+        for build in builds:
             with pytest.raises(DomainError) as caught:
                 build()
             assert str(caught.value) == message
+
+
+def test_checkpoints_and_lengths_take_any_integer():
+    # checkpoints and lengths go through operator.index, as counts and depths do
+    rows = running_stats(DigitStream.from_digits([0, 1, 1], 2), [Index(2), Index(3)])
+    assert [(row.n, type(row.n)) for row in rows] == [(2, int), (3, int)]
+    parity = DigitStream.from_function(lambda n: n % 2, 2, Index(3))
+    for stream in (DigitStream(2, lambda: iter([1, 0, 1]), Index(3)), parity):
+        assert (stream.length, type(stream.length), list(stream)) == (3, int, [1, 0, 1])
+    for build in (
+        lambda: running_stats(DigitStream.constant(0, 2), [Index(0)]),
+        lambda: running_stats(DigitStream.constant(0, 2), [1.0]),
+        lambda: DigitStream.from_function(lambda n: 0, 2, Index(-1)),
+        lambda: DigitStream(2, lambda: iter([]), 1.0),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_from_digits_keeps_one_byte_per_digit():

@@ -145,15 +145,18 @@ def test_file_stream_matches_in_memory_path(tmp_path, monkeypatch):
             if oracle is not None:
                 stream = DigitStream.from_file(path, base)
                 assert (stream.length, list(stream), list(stream)) == (len(oracle), oracle, oracle), (case, size)
-        # the CLI itself, at one chunk size per case
-        argv = ["stats", "--base", str(base), "--digits-file", str(path), "--format", "csv"]
+        # the CLI itself, at one chunk size per case, reading the file and the same bytes on stdin
+        argv = ["stats", "--base", str(base), "--format", "csv"]
         if marks is not None:
             argv += ["--checkpoints", "list:" + ",".join(map(str, marks))]
-        assert cli_result(argv) == expected, (case, data, base, marks, size)
+        assert cli_result([*argv, "--digits-file", str(path)]) == expected, (case, data, base, marks, size)
+        # with the error handler a real stdin gets under UTF-8 mode or the C locale
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape"))
+        assert cli_result([*argv, "--digits-file", "-"]) == expected, (case, data, base, marks)
 
 
 def test_text_stream_matches_in_memory_path(tmp_path):
-    # stdin is read whole: the one-chunk case of the same reader
+    # stdin is read whole, as bytes: the one-chunk case of the same reader
     path = tmp_path / "digits.txt"
     for data, base, marks in fuzz_cases():
         path.write_bytes(data)
@@ -161,15 +164,25 @@ def test_text_stream_matches_in_memory_path(tmp_path):
             expected = list(in_memory_stream(path, base))
         except DomainError as exc:
             expected = str(exc)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            continue  # the CLI rejects stdin that is not UTF-8 while reading it
-        try:
-            got = list(DigitStream.from_text(text, base))
-        except DomainError as exc:
-            got = str(exc)
-        assert got == expected, (data, base)
+        texts = [data]
+        with contextlib.suppress(UnicodeDecodeError):  # a str holds only UTF-8 text
+            texts.append(data.decode("utf-8"))
+        for text in texts:
+            try:
+                got = list(DigitStream.from_text(text, base))
+            except DomainError as exc:
+                got = str(exc)
+            assert got == expected, (text, base)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "utf-8:surrogateescape"])
+def test_stdin_that_is_not_utf8_is_named_under_any_text_encoding(encoding):
+    # stdin is read as bytes, so its error handler cannot change the fault named
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1]), "PYTHONIOENCODING": encoding}
+    result = subprocess.run([sys.executable, "-m", "digitstats.cli", "stats", "--base", "2"], input=b"2 x \xff",
+                            env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: domain: invalid digit character b'\\xff': the input is not UTF-8\n"
 
 
 def test_text_to_digits_names_a_lone_surrogate():

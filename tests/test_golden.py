@@ -68,7 +68,7 @@ def run_case(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     saved_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin or "")
+    sys.stdin = io.TextIOWrapper(io.BytesIO((stdin or "").encode()))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(argv)
