@@ -3,35 +3,39 @@
 Every subcommand maps 1:1 onto a library operation and adds no
 computation of its own; outputs are deterministic byte-for-byte given
 identical arguments. A handler only builds data (a table, a list of
-``(field, value)`` pairs, a digit string or text the library rendered,
-plus its JSON document) and ``_render`` turns that into the requested
-format. Exit codes: 0 success, 1 domain/infeasible errors, 2 usage
+``(field, value)`` pairs, text the library rendered, or a digit stream
+to write, plus its JSON document) and ``_render`` turns that into the
+requested format. Digit text is written a chunk at a time as the stream
+makes it, so its memory does not grow with ``--count``. Exit codes: 0
+success, 1 domain/infeasible errors or running out of memory, 2 usage
 errors, including an unreadable ``--digits-file`` or an unwritable
 ``--out``. Errors are one-line and machine-parsable with the prefixes
-``error: usage:``, ``error: domain:``, ``error: infeasible:``.
+``error: usage:``, ``error: domain:``, ``error: infeasible:``,
+``error: memory:``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .construct import (
-    beatty_construct,
+    _beatty_stream,
+    _no_mean_stream,
+    _quota_stream,
     blockspec_table,
     build_oscillating_schedule,
     construct_mean_without_frequency,
     floor_weighted_average,
-    no_mean_example,
-    quota_construct,
 )
-from .core import DigitStream, digits_to_text, expand_rational, format_expansion
+from .core import DigitStream, _digit_text, _first, expand_rational, format_expansion
 from .errors import DomainError, Infeasible
-from .rationals import decimal_str, parse_rational, ratio_str
+from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
 from .simulate import ExperimentConfig, normality_experiment, summary_to_json
 from .stats import (
     FrequencyProfile,
@@ -95,12 +99,23 @@ class _Table(NamedTuple):
     rows: Iterable[Sequence[object]]  # cells are printed with str()
 
 
+class _Digits(NamedTuple):
+    """The first `count` digits of `stream`, written as digit text a chunk at a time, as they are made."""
+
+    stream: DigitStream
+    count: int
+
+    def text(self) -> Iterator[str]:
+        return _digit_text(_first(self.stream._chunks(self.count), self.count), self.stream.base)
+
+
 class _Output(NamedTuple):
     """A subcommand's result, ready for any --format.
 
-    A table or CSV view is a _Table, a list of (field, value) pairs, or
-    text already rendered (a digit line, or CSV the library wrote); the
-    JSON view is a payload or JSON text. A view that costs work the other formats do not need is
+    A table or CSV view is a _Table, a list of (field, value) pairs, text
+    already rendered (CSV the library wrote), or _Digits; the JSON view is
+    a payload or JSON text. The last pair, or a payload's "digits", may be
+    _Digits. A view that costs work the other formats do not need is
     given as a function returning it, so only the requested view is built.
     """
 
@@ -109,30 +124,51 @@ class _Output(NamedTuple):
     csv: object = None  # None: there is no CSV form
 
 
-def _render(output: _Output, fmt: str) -> str:
+def _render(output: _Output, fmt: str) -> Iterable[str]:
+    """The pieces of text to write, in order; the text of _Digits is made as it is written."""
     data = getattr(output, fmt)
     if callable(data):
         data = data()
     if data is None:
         raise _UsageError("digit output supports --format table or json")
+    if isinstance(data, _Digits):
+        return chain(data.text(), ("\n",))
     if isinstance(data, str):
-        return data
+        return (data,)
     if fmt == "json":
-        return json.dumps(data, indent=2) + "\n"
+        digits = data.get("digits")
+        if not isinstance(digits, _Digits):
+            return (json.dumps(data, indent=2) + "\n",)
+        # "digits" is the last key, and JSON writes digit text unescaped between its quotes
+        head, tail = json.dumps({**data, "digits": ""}, indent=2).rsplit('""', 1)
+        return chain((head + '"',), digits.text(), ('"' + tail + "\n",))
     if isinstance(data, _Table):
         lines = [list(data.header), *([str(cell) for cell in row] for row in data.rows)]
         if fmt == "csv":
-            return _csv_text(lines)
+            return (_csv_text(lines),)
         widths = [max(map(len, column)) for column in zip(*lines)]
-        return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+        return ("".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines),)
+    *pairs, (field, digits) = data
+    if not isinstance(digits, _Digits):
+        return (_pairs_text(data, fmt),)
+    if fmt == "csv":  # CSV quotes a field that holds a comma
+        quote = '"' if digits.stream.base > 10 and digits.count > 1 else ""
+        head, tail = _pairs_text(pairs, fmt) + f"{field},{quote}", quote + "\n"
+    else:
+        head, tail = _pairs_text(pairs, fmt) + f"{field}: ", "\n"
+    return chain((head,), digits.text(), (tail,))
+
+
+def _pairs_text(pairs: Iterable[tuple[str, object]], fmt: str) -> str:
     if fmt == "csv":
-        return _csv_text([("field", "value"), *data])
-    return "".join(f"{field}: {value}\n" for field, value in data)
+        return _csv_text([("field", "value"), *pairs])
+    return "".join(f"{field}: {value}\n" for field, value in pairs)
 
 
-def _digit_output(digits: Sequence[int], base: int) -> _Output:
-    text = digits_to_text(digits, base)
-    return _Output(json={"base": base, "count": len(digits), "digits": text}, table=lambda: text + "\n")
+def _stream_output(stream: DigitStream) -> _Output:
+    """Every digit of the bounded `stream`, as digit text, or as JSON with its base and count."""
+    digits = _Digits(stream, stream.length)
+    return _Output(json={"base": stream.base, "count": stream.length, "digits": digits}, table=digits)
 
 
 # ---------------------------------------------------------------- handlers
@@ -144,7 +180,7 @@ def _cmd_digits(args) -> _Output:
     text = format_expansion(expansion)
     digits = None
     if args.count is not None:
-        digits = digits_to_text(DigitStream.from_expansion(expansion).take(args.count), expansion.base)
+        digits = _Digits(DigitStream.from_expansion(expansion), coerce_index(args.count, "count", 0))
     shown = [] if digits is None else [("digits", digits)]
     return _Output(
         json=lambda: {
@@ -187,11 +223,10 @@ def _cmd_construct_freq(args) -> _Output:
     if args.rule == "quota":
         if args.tau is None:
             raise _UsageError("--rule quota requires --tau")
-        profile = FrequencyProfile(len(args.tau), args.tau)
-        return _digit_output(quota_construct(profile, args.count), profile.base)
+        return _stream_output(_quota_stream(FrequencyProfile(len(args.tau), args.tau), args.count))
     if args.a is None or args.b is None:
         raise _UsageError("--rule beatty requires --a and --b")
-    return _digit_output(beatty_construct(args.a, args.b, args.count), 3)
+    return _stream_output(_beatty_stream(args.a, args.b, args.count))
 
 
 def _cmd_construct_mean_nofreq(args) -> _Output:
@@ -199,7 +234,7 @@ def _cmd_construct_mean_nofreq(args) -> _Output:
         args.theta, args.x1, args.x2, args.eps, args.blocks
     )
     if args.emit == "digits":
-        return _digit_output(stream.take(stream.length), 3)
+        return _stream_output(stream)
     header, rows = blockspec_table(spec)
     table = _Table(header, rows)
     return _Output(
@@ -214,7 +249,7 @@ def _cmd_construct_mean_nofreq(args) -> _Output:
 
 
 def _cmd_no_mean_example(args) -> _Output:
-    return _digit_output(no_mean_example(args.count), 2)
+    return _stream_output(_no_mean_stream(args.count))
 
 
 def _cmd_floor_average(args) -> _Output:
@@ -343,17 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, run the subcommand, write its output; return exit code."""
+    """Parse argv, run the subcommand, write its output; return exit code.
+
+    Every check runs before the first byte is written, so a rejected run
+    writes nothing and creates no --out file.
+    """
     args = build_parser().parse_args(argv)
     try:
-        text = _render(args.handler(args), args.format)
+        pieces = _render(args.handler(args), args.format)
         if args.out:
             try:
-                Path(args.out).write_text(text)
+                with open(args.out, "w") as out:
+                    out.writelines(pieces)
             except OSError as exc:
                 raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
@@ -363,7 +403,15 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 1
-    return 0
+    except BrokenPipeError:  # the reader of stdout has gone; so that the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except MemoryError:
+        pass  # reported below, once the traceback and what it held are let go
+    else:
+        return 0
+    print("error: memory: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -31,9 +31,10 @@ from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import DigitStream
+from . import core
+from .core import DigitStream, _Chunk, _first, _periodic, _take
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 from .stats import FrequencyProfile
@@ -84,6 +85,11 @@ def beatty_construct(a, b, count: int) -> list[int]:
     [(n+q)*a] = [n*a] + p; so the digits repeat with the period
     lcm(a.denominator, b.denominator), and only one period is computed.
     """
+    return _digits(_beatty_stream(a, b, count))
+
+
+def _beatty_stream(a, b, count: int) -> DigitStream:
+    """The first `count` digits of `beatty_construct`, made in chunks."""
     a = coerce_rational(a)
     b = coerce_rational(b)
     if a < 0 or b < 0 or a + b > 1:
@@ -91,21 +97,23 @@ def beatty_construct(a, b, count: int) -> list[int]:
     count = coerce_index(count, "count", 0)
     ap, aq = a.numerator, a.denominator
     bp, bq = b.numerator, b.denominator
-    digits = []
-    floor_a = ap // aq
-    floor_b = bp // bq
-    for n in range(1, min(count, lcm(aq, bq)) + 1):
-        next_a = ((n + 1) * ap) // aq
-        next_b = ((n + 1) * bp) // bq
-        if next_a - floor_a == 1:
-            digits.append(0)
-        elif next_b - floor_b == 0:
-            digits.append(1)
-        else:
-            digits.append(2)
-        floor_a = next_a
-        floor_b = next_b
-    return list(islice(cycle(digits), count))
+
+    def period() -> Iterator[int]:
+        floor_a = ap // aq
+        floor_b = bp // bq
+        for n in range(1, lcm(aq, bq) + 1):
+            next_a = ((n + 1) * ap) // aq
+            next_b = ((n + 1) * bp) // bq
+            if next_a - floor_a == 1:
+                yield 0
+            elif next_b - floor_b == 0:
+                yield 1
+            else:
+                yield 2
+            floor_a = next_a
+            floor_b = next_b
+
+    return _stream(3, count, _repeated(period, 3))
 
 
 def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
@@ -121,27 +129,74 @@ def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
     they are all 0, as before step 1, then step m+j chooses what step j
     chose, and the digits repeat the first m with period m. That happens
     only where m is a multiple of the common denominator of the targets,
-    so it is checked there, and the loop stops at the first such m.
+    so it is checked there, and the period ends at the first such m.
     """
+    return _digits(_quota_stream(profile, count))
+
+
+def _quota_stream(profile: FrequencyProfile, count: int) -> DigitStream:
+    """The first `count` digits of `quota_construct`, made in chunks."""
     count = coerce_index(count, "count", 0)
     # integer deficits: scale by the common denominator of the targets
     scale = lcm(*(t.denominator for t in profile.tau))
     weights = [t.numerator * (scale // t.denominator) for t in profile.tau]
-    counts = [0] * profile.base
-    digits = []
-    for m in range(1, count + 1):
-        best = 0
-        best_deficit = m * weights[0] - counts[0] * scale
-        for i in range(1, profile.base):
-            deficit = m * weights[i] - counts[i] * scale
-            if deficit > best_deficit:
-                best = i
-                best_deficit = deficit
-        counts[best] += 1
-        digits.append(best)
-        if m % scale == 0 and all(c * scale == m * w for c, w in zip(counts, weights)):
-            return list(islice(cycle(digits), count))
-    return digits
+
+    def period() -> Iterator[int]:
+        counts = [0] * profile.base
+        m = 0
+        while True:
+            m += 1
+            best = 0
+            best_deficit = m * weights[0] - counts[0] * scale
+            for i in range(1, profile.base):
+                deficit = m * weights[i] - counts[i] * scale
+                if deficit > best_deficit:
+                    best = i
+                    best_deficit = deficit
+            counts[best] += 1
+            yield best
+            if m % scale == 0 and all(c * scale == m * w for c, w in zip(counts, weights)):
+                return
+
+    return _stream(profile.base, count, _repeated(period, profile.base))
+
+
+def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
+    """Chunks of the digits `period()` yields, repeated forever.
+
+    The first period is made in chunks of at most _CHUNK_DIGITS, none
+    past depth `stop`, and kept; the later ones repeat it (see
+    `core._periodic`). Chunks are bytes up to base 10, else tuples.
+    """
+    pack = bytes if base <= 10 else tuple
+
+    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+        digits, kept, made = period(), [], 0
+        while True:
+            size = core._CHUNK_DIGITS if stop is None or made >= stop else min(core._CHUNK_DIGITS, stop - made)
+            chunk = pack(islice(digits, size))
+            if not chunk:
+                break
+            kept.append(chunk)
+            made += len(chunk)
+            yield chunk
+        yield from _periodic((), pack(chain.from_iterable(kept)), base)()
+
+    return chunks
+
+
+def _stream(base: int, count: int, chunks: Callable[..., Iterator[_Chunk]]) -> DigitStream:
+    """The stream of the first `count` digits of the trusted chunks `chunks(stop)` yields."""
+
+    def first(stop: int | None = None) -> Iterator[_Chunk]:
+        return _first(chunks(count if stop is None else min(stop, count)), count)
+
+    return DigitStream._trusted(base, count, first)
+
+
+def _digits(stream: DigitStream) -> list[int]:
+    """All the digits of the bounded `stream` as a list."""
+    return _take(stream._chunks(), stream.length)
 
 
 def floor_weighted_average(x, k: int, n: int) -> Fraction:
@@ -373,10 +428,23 @@ def no_mean_example(count: int) -> list[int]:
     returns to exactly 1/2 at the end of each 1-run, so it has no limit
     even though a mean is the weakest digit statistic.
     """
+    return _digits(_no_mean_stream(count))
+
+
+def _no_mean_stream(count: int) -> DigitStream:
+    """The first `count` digits of `no_mean_example`: each run in pieces of at most _CHUNK_DIGITS."""
     count = coerce_index(count, "count", 1)
-    lengths = accumulate(cycle((1, 2)), mul, initial=1)  # 1, 1, 2, 2, 4, 4, ...
-    runs = map(repeat, cycle((0, 1)), lengths)
-    return list(islice(chain.from_iterable(runs), count))
+
+    def runs(stop: int | None = None) -> Iterator[bytes]:
+        zeros, ones = b"\0" * core._CHUNK_DIGITS, b"\1" * core._CHUNK_DIGITS
+        for length in accumulate(repeat(2), mul, initial=1):  # 1, 2, 4, ...
+            whole, part = divmod(length, core._CHUNK_DIGITS)
+            for piece in (zeros, ones):
+                yield from repeat(piece, whole)
+                if part:
+                    yield piece[:part]
+
+    return _stream(2, count, runs)
 
 
 def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:

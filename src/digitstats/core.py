@@ -130,16 +130,8 @@ class DigitStream:
 
     def take(self, count: int) -> list[int]:
         """First `count` digits (fewer if the stream is shorter)."""
-        count = coerce_index(count, "count")
-        if count < 0:
-            raise DomainError("count must be >= 0")
-        digits: list[int] = []
-        if count:
-            for chunk in self._chunks(count):
-                digits += chunk[: count - len(digits)]
-                if len(digits) == count:
-                    break
-        return digits
+        count = coerce_index(count, "count", 0)
+        return _take(self._chunks(count), count)
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
@@ -223,6 +215,26 @@ def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[
         return itertools.chain((pre,), itertools.repeat(period * max(1, _CHUNK_DIGITS // len(period))))
 
     return chunks
+
+
+def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
+    """The chunks of the first `count` digits of `chunks`, the last one cut to fit; none read past it."""
+    if count <= 0:
+        return
+    for chunk in chunks:
+        if len(chunk) >= count:
+            yield chunk[:count]
+            return
+        yield chunk
+        count -= len(chunk)
+
+
+def _take(chunks: Iterable[_Chunk], count: int) -> list[int]:
+    """The first `count` digits of `chunks` as a list."""
+    digits: list[int] = []
+    for chunk in _first(chunks, count):
+        digits += chunk
+    return digits
 
 
 def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_Chunk]:
@@ -399,6 +411,25 @@ def digits_to_text(digits: Iterable[int], base: int) -> str:
     if base <= 10:
         return bytes(digits).translate(_DIGIT_TO_CHAR).decode("ascii")
     return ",".join(map(str, digits))
+
+
+def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
+    """The digit-text format of the digits of `chunks`, one str per chunk.
+
+    Joined, the strs are `digits_to_text` of all the digits: up to base
+    10 each ``bytes`` chunk is translated to ASCII digits, and above, the
+    tokens of a chunk are joined by commas, with one more comma before
+    every chunk but the first that holds a digit.
+    """
+    if base <= 10:
+        for chunk in chunks:
+            yield chunk.translate(_DIGIT_TO_CHAR).decode("ascii")
+        return
+    comma = ""
+    for chunk in chunks:
+        if chunk:
+            yield comma + ",".join(map(str, chunk))
+            comma = ","
 
 
 def text_to_digits(text: str, base: int) -> tuple[int, ...]:

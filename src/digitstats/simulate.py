@@ -285,18 +285,20 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
         raise DomainError(f"band must be >= 0, got {band}")
     workers = coerce_index(workers, "workers", 1)
     workers = min(workers, cfg.trials, os.cpu_count() or 1)
-    seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
+    # the per-trial means are the output: their list is made first, so that
+    # more trials than memory holds fail at once, not after hours of trials
+    r_values: list = [None] * cfg.trials
+    seeds = map(trial_seed, repeat(cfg.master_seed), range(cfg.trials))
     if workers == 1:
-        r_values = [_trial_mean(cfg.base, cfg.depth, seed) for seed in seeds]
+        for i, seed in enumerate(seeds):
+            r_values[i] = _trial_mean(cfg.base, cfg.depth, seed)
     else:
         # imported here so that runs without a process pool do not pay for its import
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            r_values = list(
-                pool.map(_trial_mean, repeat(cfg.base), repeat(cfg.depth), seeds, chunksize=chunk)
-            )
+            r_values[:] = pool.map(_trial_mean, repeat(cfg.base), repeat(cfg.depth), seeds, chunksize=chunk)
     mean = sum(r_values, Fraction(0)) / cfg.trials
     if cfg.trials > 1:
         variance = sum(((r - mean) ** 2 for r in r_values), Fraction(0)) / (cfg.trials - 1)

@@ -36,26 +36,44 @@ from digitstats import (
 from digitstats.rationals import decimal_str
 
 
-def long_division_oracle(p: int, q: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reference expansion of p/q: long division until a remainder repeats.
+def remainder_cycle_oracle(q: int, base: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Reference expansion (preperiod, period) of p/q for every p in [0, q), by long division.
 
-    Remembers every remainder, so it needs memory linear in q; the
-    package's expand_rational must agree with it digit for digit.
+    Long division of p/q steps the remainder r -> r*base mod q and writes
+    the digit r*base // q. Each cycle of that map is walked once, and the
+    period of a remainder on it is the cycle's digits read from there. A
+    remainder off every cycle walks until it meets one: the digits on the
+    way are its preperiod. Remainder 0 is the cycle of the digit 0.
+
+    Every expansion is checked canonical: a cycle's word, as a period, by
+    `RadixExpansion`, which holds for all its rotations too; and that no
+    preperiod ends with the last digit of its period.
     """
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    digits = []
-    first_seen = {}
-    remainder = p
-    while remainder != 0 and remainder not in first_seen:
-        first_seen[remainder] = len(digits)
-        remainder *= base
-        digits.append(remainder // q)
-        remainder %= q
-    if remainder == 0:
-        return tuple(digits), (0,)
-    start = first_seen[remainder]
-    return tuple(digits[:start]), tuple(digits[start:])
+    step = [r * base % q for r in range(q)]
+    digit = [r * base // q for r in range(q)]
+    period_of: dict[int, tuple[int, ...]] = {}
+    for start in range(q):
+        path: dict[int, int] = {}  # remainder -> its place on this walk
+        r = start
+        while r not in path and r not in period_of:
+            path[r] = len(path)
+            r = step[r]
+        if r in path:  # a new cycle, from r to the end of the walk
+            cycle = list(path)[path[r] :]
+            word = [digit[c] for c in cycle]
+            RadixExpansion(base, (), word)
+            for i, c in enumerate(cycle):
+                period_of[c] = tuple(word[i:] + word[:i])
+    expansions = {}
+    for p in range(q):
+        preperiod = []
+        r = p
+        while r not in period_of:
+            preperiod.append(digit[r])
+            r = step[r]
+        expansions[p] = (tuple(preperiod), period_of[r])
+        assert not preperiod or preperiod[-1] != period_of[r][-1], (p, q, base)
+    return expansions
 
 
 @pytest.mark.parametrize(
@@ -151,12 +169,11 @@ def test_expansion_primitivity_names_shortest_repeating_word():
 def test_expand_rational_matches_long_division_oracle():
     for base in range(2, 17):
         for q in range(1, 301):
+            expansions = remainder_cycle_oracle(q, base)
             for p in range(q):
                 if gcd(p, q) == 1:
-                    # expand_rational skips the checks of public construction;
-                    # the checked expansion of the oracle's digits must equal it
-                    expected = RadixExpansion(base, *long_division_oracle(p, q, base))
-                    assert expand_rational(p, q, base) == expected, (p, q, base)
+                    expansion = expand_rational(p, q, base)
+                    assert (expansion.base, expansion.preperiod, expansion.period) == (base, *expansions[p]), (p, q, base)
 
 
 @pytest.mark.parametrize("p,q,base", [(12345, 99991, 10), (1, 99991, 2), (777, 3 * 99991, 16), (5, 2**80 * 7, 12)])

@@ -1,29 +1,55 @@
-"""The chunked digit-text reader against the in-memory path it replaced.
+"""The chunked digit-text reader and writer against the in-memory paths they replaced.
 
-`in_memory_stream` is that path, kept here as the oracle: read the whole
-file as UTF-8 text, check its syntax with one regular expression, parse
-it into a tuple, and let ``DigitStream.from_digits`` check the range.
-``DigitStream.from_file`` reads the same file in chunks of a few bytes
-here, so every character, multi-byte sequence and token meets a chunk
-boundary somewhere, and must name the same fault or give the same digits.
+`in_memory_stream` is the reader's old path, kept here as the oracle:
+read the whole file as UTF-8 text, check its syntax with one regular
+expression, parse it into a tuple, and let ``DigitStream.from_digits``
+check the range. ``DigitStream.from_file`` reads the same file in chunks
+of a few bytes here, so every character, multi-byte sequence and token
+meets a chunk boundary somewhere, and must name the same fault or give
+the same digits.
+
+`listed_output` is the writer's old path: the CLI built every digit as a
+list, then ``digits_to_text`` of it, wrapped in its format, then wrote
+it. The CLI now writes digit text chunk by chunk, and must write the same
+bytes at chunk sizes down to one digit, and hold memory that does not
+grow with the count.
 """
 
 import contextlib
+import csv
 import gc
 import io
+import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import digitstats
-from digitstats import DigitStream, DomainError, core, running_stats, stats_to_csv, text_to_digits
-from digitstats.cli import run_cli
+from digitstats import (
+    DigitStream,
+    DomainError,
+    FrequencyProfile,
+    beatty_construct,
+    construct_mean_without_frequency,
+    core,
+    digits_to_text,
+    expand_rational,
+    format_expansion,
+    no_mean_example,
+    quota_construct,
+    running_stats,
+    stats_to_csv,
+    text_to_digits,
+)
+from digitstats.cli import build_parser, run_cli
 
 _SPACE = " \t\n\r\v\f"
 _NOT_DIGIT_TEXT = re.compile(f"[^0-9{_SPACE}]")
@@ -229,8 +255,8 @@ def test_abandoned_file_stream_closes_its_file(tmp_path, monkeypatch):
     assert unraisable == []
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the child's VmHWM from /proc")
-def test_stats_file_memory_does_not_grow_with_the_file(tmp_path):
+def child_peak_mb(argv: list[str]) -> float:
+    """Peak RSS (``VmHWM``) in MB of a child process that runs the CLI on `argv`, which must succeed."""
     env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
     child = (
         "import sys\n"
@@ -239,16 +265,143 @@ def test_stats_file_memory_does_not_grow_with_the_file(tmp_path):
         "status = open('/proc/self/status').read()\n"
         "print(next(line.split()[1] for line in status.splitlines() if line.startswith('VmHWM')))\n"
     )
+    result = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True,
+                            check=True, timeout=120)
+    return int(result.stdout) / 1024
 
+
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the child's VmHWM from /proc")
+
+
+@needs_vmhwm
+def test_stats_file_memory_does_not_grow_with_the_file(tmp_path):
     def peak_mb(count: int) -> float:
         path = tmp_path / f"digits-{count}.txt"
         path.write_text(("8327950288419716939937510582097494459230781640628620899862803482534211706" + "7982148\n") * (count // 80))
         argv = ["stats", "--base", "10", "--digits-file", str(path), "--checkpoints", f"geometric:10,2,{count}",
                 "--format", "csv", "--out", str(tmp_path / "stats.csv")]
-        result = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True,
-                                check=True, timeout=120)
+        peak = child_peak_mb(argv)
         path.unlink()
-        return int(result.stdout) / 1024
+        return peak
 
     small, large = peak_mb(2 * 10**6), peak_mb(2 * 10**7)
     assert large - small < 3, (small, large)
+
+
+BLOCK = ["--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20"]
+TAU_BASE12 = "1/4,0,0,1/12,0,0,0,0,0,0,1/6,1/2"
+
+# subcommand -> argv writing about `count` digits
+DIGIT_COMMANDS = {
+    "no-mean-example": lambda count: ["no-mean-example", "--count", str(count)],
+    "construct-freq quota": lambda count: ["construct-freq", "--tau", TAU_BASE12, "--count", str(count)],
+    "construct-freq beatty": lambda count: ["construct-freq", "--rule", "beatty", "--a", "2/7", "--b", "1/5",
+                                            "--count", str(count)],
+    "construct-mean-nofreq": lambda count: ["construct-mean-nofreq", *BLOCK, "--blocks", str(math.isqrt(2 * count)),
+                                            "--emit", "digits"],
+    "digits": lambda count: ["digits", "--base", "16", "--rational", "5/28", "--count", str(count)],
+}
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("command", sorted(DIGIT_COMMANDS))
+def test_digit_output_memory_does_not_grow_with_the_count(tmp_path, command):
+    def peak_mb(count: int) -> float:
+        out = tmp_path / "digits.txt"
+        peak = child_peak_mb([*DIGIT_COMMANDS[command](count), "--format", "json", "--out", str(out)])
+        assert out.stat().st_size > 0.9 * count
+        out.unlink()
+        return peak
+
+    small, large = peak_mb(3 * 10**5), peak_mb(3 * 10**6)
+    assert large - small < 3, (small, large)
+
+
+def listed_output(argv: list[str], fmt: str) -> str:
+    """What the CLI wrote for `argv` when it built the digit text whole: digits_to_text of the list, wrapped."""
+    args = build_parser().parse_args(argv)
+    if args.command == "no-mean-example":
+        base, digits = 2, no_mean_example(args.count)
+    elif args.command == "construct-freq" and args.rule == "quota":
+        base, digits = len(args.tau), quota_construct(FrequencyProfile(len(args.tau), args.tau), args.count)
+    elif args.command == "construct-freq":
+        base, digits = 3, beatty_construct(args.a, args.b, args.count)
+    elif args.command == "construct-mean-nofreq":
+        _, stream = construct_mean_without_frequency(args.theta, args.x1, args.x2, args.eps, args.blocks)
+        base, digits = 3, stream.take(stream.length)
+    else:
+        expansion = expand_rational(args.rational.numerator, args.rational.denominator, args.base)
+        base, digits = args.base, DigitStream.from_expansion(expansion).take(args.count)
+    text = digits_to_text(digits, base)
+    if args.command != "digits":
+        if fmt == "json":
+            return json.dumps({"base": base, "count": len(digits), "digits": text}, indent=2) + "\n"
+        return text + "\n"
+    value, shown = str(args.rational), format_expansion(expansion)
+    if fmt == "json":
+        payload = {"base": base, "value": value, "expansion": shown, "preperiod": list(expansion.preperiod),
+                   "period": list(expansion.period), "digits": text}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        lines = io.StringIO()
+        rows = [("field", "value"), ("base", base), ("value", value), ("expansion", shown), ("digits", text)]
+        csv.writer(lines, lineterminator="\n").writerows(rows)
+        return lines.getvalue()
+    return f"expansion: {shown}\nvalue: {value}\ndigits: {text}\n"
+
+
+def random_digit_argv(rng: random.Random) -> list[str]:
+    kind = rng.choice(["no-mean", "quota", "quota12", "beatty", "blocks", "digits", "digits16"])
+    if kind == "no-mean":
+        return ["no-mean-example", "--count", str(rng.randint(1, 300))]
+    if kind in ("quota", "quota12"):
+        base = 12 if kind == "quota12" else rng.randint(2, 10)
+        cuts = sorted(rng.randint(0, 24) for _ in range(base - 1))
+        tau = ",".join(f"{high - low}/24" for low, high in zip([0, *cuts], [*cuts, 24]))
+        return ["construct-freq", "--tau", tau, "--count", str(rng.choice([0, 1, 2, rng.randint(0, 300)]))]
+    if kind == "beatty":
+        a = F(rng.randint(0, 12), 12)
+        b = F(rng.randint(0, 12 - a.numerator * 12 // a.denominator), 12)
+        return ["construct-freq", "--rule", "beatty", "--a", str(a), "--b", str(b), "--count", str(rng.choice([0, 1, 2, rng.randint(0, 300)]))]
+    if kind == "blocks":
+        return ["construct-mean-nofreq", *BLOCK, "--blocks", str(rng.randint(1, 25)), "--emit", "digits"]
+    base = 16 if kind == "digits16" else rng.randint(2, 16)
+    q = rng.randint(1, 400)
+    return ["digits", "--base", str(base), "--rational", f"{rng.randrange(q)}/{q}", "--count", str(rng.choice([0, 1, 2, rng.randint(0, 300)]))]
+
+
+def test_streamed_digit_output_matches_the_list_path(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    for case in range(250):
+        monkeypatch.setattr(core, "_CHUNK_DIGITS", rng.choice([1, 2, 3, 7, 1 << 16]))
+        argv = random_digit_argv(rng)
+        fmt = rng.choice(["table", "json", "csv"] if argv[0] == "digits" else ["table", "json"])
+        expected = listed_output(argv, fmt)
+        if rng.random() < 0.5:
+            assert cli_result([*argv, "--format", fmt]) == (0, expected, ""), (case, argv, fmt)
+        else:
+            out = tmp_path / f"out-{case}.txt"
+            assert cli_result([*argv, "--format", fmt, "--out", str(out)]) == (0, "", ""), (case, argv, fmt)
+            assert out.read_text() == expected, (case, argv, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["no-mean-example", "--count", "5", "--format", "csv"], 2),
+        (["construct-freq", "--tau", "1/2,1/2", "--count", "5", "--format", "csv"], 2),
+        (["construct-freq", "--rule", "beatty", "--a", "1/3", "--b", "1/3", "--count", "5", "--format", "csv"], 2),
+        (["construct-mean-nofreq", *BLOCK, "--blocks", "5", "--emit", "digits", "--format", "csv"], 2),
+        (["no-mean-example", "--count", "0"], 1),
+        (["construct-freq", "--tau", "1/2,1/2", "--count", "-1", "--format", "json"], 1),
+        (["construct-freq", "--rule", "beatty", "--a", "1/3", "--b", "1/3", "--count", "-3"], 1),
+        (["digits", "--base", "16", "--rational", "1/7", "--count", "-1", "--format", "csv"], 1),
+    ],
+)
+def test_rejected_digit_output_writes_nothing(tmp_path, argv, code):
+    out = tmp_path / "out.txt"
+    for extra in ([], ["--out", str(out)]):
+        result = cli_result([*argv, *extra])
+        assert result[:2] == (code, ""), (argv, extra)
+        assert result[2].startswith("error: ") and result[2].count("\n") == 1, result
+        assert not out.exists()
