@@ -3,12 +3,12 @@
 Every subcommand maps 1:1 onto a library operation and adds no
 computation of its own; outputs are deterministic byte-for-byte given
 identical arguments. A handler only builds data (a table, a list of
-``(field, value)`` pairs, text the library rendered, or a digit stream
-to write, plus its JSON document) and ``_render`` turns that into the
-requested format. Digit text is written a chunk at a time as the stream
-makes it, so its memory does not grow with ``--count``. Exit codes: 0
-success, 1 domain/infeasible errors or running out of memory, 2 usage
-errors, including an unreadable ``--digits-file`` or an unwritable
+``(field, value)`` pairs or text the library rendered, plus its JSON
+document, and any digit stream they show) and ``_render`` turns that
+into the requested format. Digit text is written a chunk at a time as
+the stream makes it, so its memory does not grow with ``--count``. Exit
+codes: 0 success, 1 domain/infeasible errors or running out of memory, 2
+usage errors, including an unreadable ``--digits-file`` or an unwritable
 ``--out``. Errors are one-line and machine-parsable with the prefixes
 ``error: usage:``, ``error: domain:``, ``error: infeasible:``,
 ``error: memory:``.
@@ -105,6 +105,11 @@ class _Digits(NamedTuple):
     stream: DigitStream
     count: int
 
+    @property
+    def mark(self) -> str:
+        """A view's stand-in for the digit text: unique in it, with a comma just when the text has one."""
+        return "<digits,>" if self.stream.base > 10 and self.count > 1 else "<digits>"
+
     def text(self) -> Iterator[str]:
         return _digit_text(_first(self.stream._chunks(self.count), self.count), self.stream.base)
 
@@ -112,63 +117,58 @@ class _Digits(NamedTuple):
 class _Output(NamedTuple):
     """A subcommand's result, ready for any --format.
 
-    A table or CSV view is a _Table, a list of (field, value) pairs, text
-    already rendered (CSV the library wrote), or _Digits; the JSON view is
-    a payload or JSON text. The last pair, or a payload's "digits", may be
-    _Digits. A view that costs work the other formats do not need is
-    given as a function returning it, so only the requested view is built.
+    A table or CSV view is a _Table, a list of (field, value) pairs, or
+    text already rendered (CSV the library wrote); the JSON view is a
+    payload or JSON text. A view that costs work the other formats do not
+    need is given as a function returning it, so only the requested view
+    is built. Where `digits` is given, each view holds its `mark`, and
+    the digit text is written there as it is made.
     """
 
     json: object
     table: object
     csv: object = None  # None: there is no CSV form
+    digits: _Digits | None = None
 
 
 def _render(output: _Output, fmt: str) -> Iterable[str]:
-    """The pieces of text to write, in order; the text of _Digits is made as it is written."""
+    """The pieces of text to write, in order; the digit text is made as it is written."""
+    text = _view_text(output, fmt)
+    if output.digits is None:
+        return (text,)
+    head, tail = text.split(output.digits.mark)
+    return chain((head,), output.digits.text(), (tail,))
+
+
+def _view_text(output: _Output, fmt: str) -> str:
     data = getattr(output, fmt)
     if callable(data):
         data = data()
     if data is None:
         raise _UsageError("digit output supports --format table or json")
-    if isinstance(data, _Digits):
-        return chain(data.text(), ("\n",))
     if isinstance(data, str):
-        return (data,)
+        return data
     if fmt == "json":
-        digits = data.get("digits")
-        if not isinstance(digits, _Digits):
-            return (json.dumps(data, indent=2) + "\n",)
-        # "digits" is the last key, and JSON writes digit text unescaped between its quotes
-        head, tail = json.dumps({**data, "digits": ""}, indent=2).rsplit('""', 1)
-        return chain((head + '"',), digits.text(), ('"' + tail + "\n",))
+        return json.dumps(data, indent=2) + "\n"
     if isinstance(data, _Table):
         lines = [list(data.header), *([str(cell) for cell in row] for row in data.rows)]
         if fmt == "csv":
-            return (_csv_text(lines),)
+            return _csv_text(lines)
         widths = [max(map(len, column)) for column in zip(*lines)]
-        return ("".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines),)
-    *pairs, (field, digits) = data
-    if not isinstance(digits, _Digits):
-        return (_pairs_text(data, fmt),)
-    if fmt == "csv":  # CSV quotes a field that holds a comma
-        quote = '"' if digits.stream.base > 10 and digits.count > 1 else ""
-        head, tail = _pairs_text(pairs, fmt) + f"{field},{quote}", quote + "\n"
-    else:
-        head, tail = _pairs_text(pairs, fmt) + f"{field}: ", "\n"
-    return chain((head,), digits.text(), (tail,))
-
-
-def _pairs_text(pairs: Iterable[tuple[str, object]], fmt: str) -> str:
+        return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
     if fmt == "csv":
-        return _csv_text([("field", "value"), *pairs])
-    return "".join(f"{field}: {value}\n" for field, value in pairs)
+        return _csv_text([("field", "value"), *data])
+    return "".join(f"{field}: {value}\n" for field, value in data)
 
 
 def _stream_output(stream: DigitStream) -> _Output:
     """Every digit of the bounded `stream`, as digit text, or as JSON with its base and count."""
     digits = _Digits(stream, stream.length)
-    return _Output(json={"base": stream.base, "count": stream.length, "digits": digits}, table=digits)
+    return _Output(
+        json={"base": stream.base, "count": stream.length, "digits": digits.mark},
+        table=digits.mark + "\n",
+        digits=digits,
+    )
 
 
 # ---------------------------------------------------------------- handlers
@@ -178,10 +178,11 @@ def _cmd_digits(args) -> _Output:
     value = ratio_str(args.rational)
     expansion = expand_rational(args.rational.numerator, args.rational.denominator, args.base)
     text = format_expansion(expansion)
-    digits = None
+    digits = mark = None
     if args.count is not None:
         digits = _Digits(DigitStream.from_expansion(expansion), coerce_index(args.count, "count", 0))
-    shown = [] if digits is None else [("digits", digits)]
+        mark = digits.mark
+    shown = [] if digits is None else [("digits", mark)]
     return _Output(
         json=lambda: {
             "base": expansion.base,
@@ -189,10 +190,11 @@ def _cmd_digits(args) -> _Output:
             "expansion": text,
             "preperiod": list(expansion.preperiod),
             "period": list(expansion.period),
-            "digits": digits,
+            "digits": mark,
         },
         table=[("expansion", text), ("value", value), *shown],
         csv=[("base", expansion.base), ("value", value), ("expansion", text), *shown],
+        digits=digits,
     )
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import core
 from .core import DigitStream, _Chunk, _first, _periodic, _take
@@ -164,23 +164,24 @@ def _quota_stream(profile: FrequencyProfile, count: int) -> DigitStream:
 def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
     """Chunks of the digits `period()` yields, repeated forever.
 
-    The first period is made in chunks of at most _CHUNK_DIGITS, none
-    past depth `stop`, and kept; the later ones repeat it (see
-    `core._periodic`). Chunks are bytes up to base 10, else tuples.
+    A period that ends within the first chunk is kept and repeated (see
+    `core._periodic`); a longer one is made again for each repeat, so no
+    more than one chunk is held whatever the period's length. The first
+    chunk stops at depth `stop`. Chunks are bytes up to base 10, else
+    tuples.
     """
     pack = bytes if base <= 10 else tuple
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-        digits, kept, made = period(), [], 0
-        while True:
-            size = core._CHUNK_DIGITS if stop is None or made >= stop else min(core._CHUNK_DIGITS, stop - made)
-            chunk = pack(islice(digits, size))
-            if not chunk:
-                break
-            kept.append(chunk)
-            made += len(chunk)
-            yield chunk
-        yield from _periodic((), pack(chain.from_iterable(kept)), base)()
+        size = core._CHUNK_DIGITS if stop is None else min(core._CHUNK_DIGITS, stop)
+        digits = period()
+        head = pack(islice(digits, size))
+        if len(head) < size:
+            yield from _periodic((), head, base)()
+            return
+        yield head
+        digits = chain(digits, chain.from_iterable(iter(period, None)))  # period() once per repeat
+        yield from iter(lambda: pack(islice(digits, core._CHUNK_DIGITS)), pack())
 
     return chunks
 
@@ -401,8 +402,7 @@ def block_digit_stream(spec: BlockSpec) -> DigitStream:
     run_lengths = tuple(chain.from_iterable(spec.rows))
 
     def chunks(stop: int | None = None) -> Iterator[bytes]:
-        # one chunk per run, the bytes of its digit value
-        return map(bytes.__mul__, cycle((b"\0", b"\1", b"\2")), run_lengths)
+        return _run_chunks(cycle((0, 1, 2)), run_lengths)
 
     return DigitStream._trusted(3, sum(run_lengths), chunks)
 
@@ -432,19 +432,27 @@ def no_mean_example(count: int) -> list[int]:
 
 
 def _no_mean_stream(count: int) -> DigitStream:
-    """The first `count` digits of `no_mean_example`: each run in pieces of at most _CHUNK_DIGITS."""
+    """The first `count` digits of `no_mean_example`, made in chunks."""
     count = coerce_index(count, "count", 1)
 
     def runs(stop: int | None = None) -> Iterator[bytes]:
-        zeros, ones = b"\0" * core._CHUNK_DIGITS, b"\1" * core._CHUNK_DIGITS
-        for length in accumulate(repeat(2), mul, initial=1):  # 1, 2, 4, ...
-            whole, part = divmod(length, core._CHUNK_DIGITS)
-            for piece in (zeros, ones):
-                yield from repeat(piece, whole)
-                if part:
-                    yield piece[:part]
+        lengths = accumulate(repeat(2), mul, initial=1)  # 1, 2, 4, ...
+        return _run_chunks(cycle((0, 1)), chain.from_iterable(map(repeat, lengths, repeat(2))))
 
     return _stream(2, count, runs)
+
+
+def _run_chunks(digits: Iterable[int], lengths: Iterable[int]) -> Iterator[bytes]:
+    """Each of `digits` repeated as often as the matching one of `lengths` says.
+
+    The runs come in bytes pieces of at most _CHUNK_DIGITS digits.
+    """
+    for digit, length in zip(digits, lengths):
+        whole, part = divmod(length, core._CHUNK_DIGITS)
+        if whole:
+            yield from repeat(bytes((digit,)) * core._CHUNK_DIGITS, whole)
+        if part:
+            yield bytes((digit,)) * part
 
 
 def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str  # the C encoder's string escaping
 from math import ceil
 from typing import Iterable, Sequence, Union
 
@@ -122,6 +122,19 @@ class Undetermined:
 ConvergenceVerdict = Union[Converged, Oscillating, Undetermined]
 
 
+def _probe_row(base: int) -> None:
+    """Raise MemoryError at once when no row of `base` counts fits in memory.
+
+    ``bytes(n)`` asks calloc for n zero bytes, about the size of a row's
+    tuple of `base` pointers, so the probe neither touches nor keeps that
+    memory; a row that cannot fit fails here instead of after a long loop.
+    """
+    try:
+        bytes(8 * base)
+    except OverflowError:  # larger than any address space
+        raise MemoryError(f"a row of {base} counts") from None
+
+
 def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[PartialStats]:
     """Statistics of `stream` at each checkpoint depth, in one pass.
 
@@ -137,10 +150,8 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     base = stream.base
 
     def row(truncated: bool) -> PartialStats:
-        dense = [0] * base  # made whole first: a row too large for memory fails at once
-        for digit, count in counts.items():
-            dense[digit] = count
-        return PartialStats(base, depth, tuple(dense), truncated)
+        _probe_row(base)
+        return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
 
     counts: Counter[int] = Counter()
     depth = 0
@@ -355,38 +366,22 @@ def stats_to_csv(rows: Sequence[PartialStats]) -> str:
     return _csv_text([header, *body])
 
 
-# one row of stats_to_json, laid out as json.dumps(..., indent=2) lays it out
-_JSON_ROW = """\
-    {
-      "n": %s,
-      "counts": %s,
-      "freqs": %s,
-      "freqs_decimal": %s,
-      "mean": %s,
-      "mean_decimal": %s,
-      "truncated": %s
-    }"""
-
-
-def _json_list(items: Iterable[str]) -> str:
-    """A JSON list of items already encoded, at a row's depth; never empty here (one item per digit)."""
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
-
-
 def stats_to_json(rows: Sequence[PartialStats]) -> str:
-    """JSON mirror of the CSV columns.
-
-    The text is that of ``json.dumps(payload, indent=2) + "\\n"``, whose
-    indenting encoder is pure Python. Here the strings go through the C
-    encoder's escaping, and the ints and the fixed layout are joined
-    around them.
-    """
+    """JSON mirror of the CSV columns."""
     base = _stats_base(rows)
     body = []
     for row in rows:
         values = [*row.freqs, row.mean]  # normalized Fractions: str is their p/q form
-        exact = list(map(_json_str, map(str, values)))
-        decimals = list(map(_json_str, map(decimal_str, values)))
-        lists = [_json_list(map(str, row.counts)), _json_list(exact[:-1]), _json_list(decimals[:-1])]
-        body.append(_JSON_ROW % (row.n, *lists, exact[-1], decimals[-1], "true" if row.truncated else "false"))
-    return f'{{\n  "base": {base},\n  "rows": [\n' + ",\n".join(body) + "\n  ]\n}\n"
+        exact, decimals = list(map(str, values)), list(map(decimal_str, values))
+        body.append(
+            {
+                "n": row.n,
+                "counts": list(row.counts),
+                "freqs": exact[:-1],
+                "freqs_decimal": decimals[:-1],
+                "mean": exact[-1],
+                "mean_decimal": decimals[-1],
+                "truncated": row.truncated,
+            }
+        )
+    return json.dumps({"base": base, "rows": body}, indent=2) + "\n"

@@ -30,6 +30,7 @@ from digitstats import (
     running_stats,
     with_prefix,
 )
+from digitstats import core
 from digitstats.construct import _floor_sum
 
 F = Fraction
@@ -447,6 +448,29 @@ def test_beatty_construct_matches_position_by_position_reference():
         reference = beatty_reference(a, b, counts[-1])
         for count in counts:
             assert beatty_construct(a, b, count) == reference[:count], (a, b, count)
+
+
+def test_constructions_match_their_references_in_chunks_shorter_than_a_period(monkeypatch):
+    # a period longer than a chunk is made again for each repeat; a run longer than a chunk is cut
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", 7)
+    rng = random.Random(2027)
+    for profile in [random_profile(rng) for _ in range(40)]:
+        counts = counts_around(lcm(*(t.denominator for t in profile.tau)))
+        reference = quota_reference(profile, counts[-1])
+        for count in counts:
+            assert quota_construct(profile, count) == reference[:count], (profile.tau, count)
+    for _ in range(40):
+        q, d = rng.randint(1, 60), rng.randint(1, 60)
+        a = F(rng.randint(0, q), q)
+        b = F(rng.randint(0, (1 - a) * d // 1), d)
+        counts = counts_around(lcm(a.denominator, b.denominator))
+        reference = beatty_reference(a, b, counts[-1])
+        for count in counts:
+            assert beatty_construct(a, b, count) == reference[:count], (a, b, count)
+    runs = [digit for m in range(9) for digit in (0, 1) for _ in range(2**m)]
+    assert [no_mean_example(count) for count in range(1, len(runs))] == [runs[:count] for count in range(1, len(runs))]
+    spec, stream = construct_mean_without_frequency(1, F(1, 5), F(2, 5), F(1, 20), 60)
+    assert stream.take(stream.length) == [digit for row in spec.rows for digit, run in enumerate(row) for _ in range(run)]
 
 
 def block_rows_reference(theta: Fraction, alphas) -> list[tuple[int, int, int]]:

@@ -317,6 +317,22 @@ def test_digit_output_memory_does_not_grow_with_the_count(tmp_path, command):
     assert large - small < 3, (small, large)
 
 
+@needs_vmhwm
+def test_digit_output_memory_does_not_grow_with_a_long_period(tmp_path):
+    # targets over 709 * 701: a base-12 quota period of 497,009 digits, longer than a chunk
+    tau = "1/709,1/701,0,0,0,0,0,0,0,0,0,495599/497009"
+
+    def peak_mb(count: int) -> float:
+        out = tmp_path / "digits.txt"
+        peak = child_peak_mb(["construct-freq", "--tau", tau, "--count", str(count), "--out", str(out)])
+        assert out.stat().st_size > 2 * count
+        out.unlink()
+        return peak
+
+    small, large = peak_mb(10**5), peak_mb(12 * 10**5)
+    assert large - small < 3, (small, large)
+
+
 def listed_output(argv: list[str], fmt: str) -> str:
     """What the CLI wrote for `argv` when it built the digit text whole: digits_to_text of the list, wrapped."""
     args = build_parser().parse_args(argv)

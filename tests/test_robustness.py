@@ -36,11 +36,13 @@ CHILD = (
 HUGE = str(10**12)
 BLOCK = ["--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20"]
 
-# (argv, stdin, streams digits): commands that used to end in a MemoryError traceback under the cap
+# (argv, stdin, streams digits): commands whose output would outgrow the cap
 EXTREME = [
     (["stats", "--base", "1099511627776"], b"1,2,3", False),
+    (["stats", "--base", str(10**30)], b"1,2,3", False),  # a count row larger than any address space
     (["no-mean-example", "--count", HUGE], b"", True),
     (["construct-freq", "--tau", "1/3,1/3,1/3", "--count", HUGE], b"", True),
+    (["construct-freq", "--tau", "1/709,1/701,495599/497009", "--count", HUGE], b"", True),  # a long period
     (["simulate", "--base", "3", "--n", "10", "--trials", str(10**11), "--seed", "1"], b"", False),
     (["digits", "--base", "10", "--rational", "1/7", "--count", HUGE, "--format", "json"], b"", True),
 ]

@@ -400,29 +400,6 @@ def test_stats_json_mirror():
     assert payload["rows"][1]["truncated"] is False
 
 
-def json_dumps_reference(rows) -> str:
-    """stats_to_json as json.dumps(payload, indent=2) wrote it."""
-    body = []
-    for row in rows:
-        values = [*row.freqs, row.mean]
-        exact, decimals = list(map(str, values)), list(map(decimal_str, values))
-        body.append({"n": row.n, "counts": list(row.counts), "freqs": exact[:-1], "freqs_decimal": decimals[:-1],
-                     "mean": exact[-1], "mean_decimal": decimals[-1], "truncated": row.truncated})
-    return json.dumps({"base": rows[0].base, "rows": body}, indent=2) + "\n"
-
-
-def test_stats_json_matches_json_dumps_on_random_rows():
-    rng = random.Random(1016)
-    for case in range(300):
-        base = rng.choice([2, 3, 10, 16, rng.randint(2, 40)])
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            counts = [rng.choice([0, 0, 1, rng.randrange(10**rng.randint(1, 30))]) for _ in range(base)]
-            counts[rng.randrange(base)] += 1  # depth >= 1
-            rows.append(PartialStats(base, sum(counts), counts, truncated=rng.random() < 0.3))
-        assert stats_to_json(rows) == json_dumps_reference(rows), case
-
-
 def test_stats_export_rejects_empty():
     with pytest.raises(DomainError):
         stats_to_csv([])
