@@ -305,17 +305,83 @@ def _proper_divisors(n: int) -> tuple[int, ...]:
     return tuple(low + [n // w for w in reversed(low) if w * w != n])[:-1]
 
 
+def _probe_memory(size: int, what: str) -> None:
+    """Raise MemoryError at once when `size` bytes for `what` cannot be had.
+
+    ``bytes(size)`` asks calloc for zeroed memory, so the probe neither
+    touches nor keeps it; work whose result cannot fit fails here instead
+    of after a long loop.
+    """
+    try:
+        bytes(size)
+    except OverflowError:  # larger than any address space
+        raise MemoryError(what) from None
+
+
+_DIVISION_DIGITS = 256  # period digits walked one at a time, then digits per block division
+_BABY_STEPS = 1 << 16  # most baby steps of the order search, for a modulus of up to 64 bits
+_FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}  # bases whose blocks `format` renders
+_FORMAT_TO_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _order(base: int, modulus: int) -> int:
+    """The least L >= 1 with base**L = 1 mod `modulus`, for coprime `base` and `modulus` >= 2.
+
+    Baby-step giant-step: m = min(isqrt(modulus) + 1, _BABY_STEPS) baby
+    steps tabulate base**j for j < m, unless one of them already returns
+    to 1; above 64 bits, m shrinks in proportion, so that the table holds
+    no more bits than _BABY_STEPS residues of 64 bits. Giant step i then
+    looks base**(i*m) up in that table; the first hit, at j, gives
+    L = i*m - j, after about L/m steps. A miss rules out every L <= i*m,
+    and each time that length doubles, a probe asks for the 8 bytes per
+    digit a period that long would hold.
+    """
+    steps = min(isqrt(modulus) + 1, _BABY_STEPS * 64 // max(64, modulus.bit_length()))
+    table: dict[int, int] = {}
+    power = 1
+    for j in range(steps):
+        table[power] = j
+        power = power * base % modulus
+        if power == 1:
+            return j + 1
+    giant, power = power, 1
+    for i in itertools.count(1):
+        power = power * giant % modulus
+        j = table.get(power)
+        if j is not None:
+            return i * steps - j
+        if i & (i - 1) == 0:
+            _probe_memory(8 * i * steps, f"a period of more than {i * steps} digits")
+    raise AssertionError("unreachable: the giant steps end at the order")
+
+
 def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     """Expand p/q in [0, 1) by exact long division.
 
     The preperiod has one digit for each time the reduced denominator
     must be divided by its gcd with the base before the two are coprime;
     after it the remainders cycle, and the period ends where its first
-    remainder recurs. This
-    yields the canonical form directly: the preperiod is minimal, the
-    period is primitive, and a reduced denominator whose primes all divide
-    the base terminates with period ``(0,)``. Each of the preperiod and
-    period is shorter than the reduced denominator.
+    remainder recurs. This yields the canonical form directly: the
+    preperiod is minimal, the period is primitive, and a reduced
+    denominator whose primes all divide the base terminates with period
+    ``(0,)``. Each of the preperiod and period is shorter than the reduced
+    denominator.
+
+    The division runs in three steps:
+
+    * **Walk.** The preperiod and up to ``_DIVISION_DIGITS`` period
+      digits come one at a time, with one remainder compare per digit;
+      this closes every period up to that long.
+    * **Order search.** A period still open has length L, the order of
+      the base modulo the reduced denominator with the base's primes
+      removed; `_order` finds it without making a digit, and a period
+      that cannot fit in memory raises MemoryError here.
+    * **Blocks.** In bases 2, 8, 10 and 16 the other digits come from one
+      ``divmod`` per ``_DIVISION_DIGITS`` digits, rendered by ``format``.
+      A block stays below 640 digits, the smallest limit
+      ``sys.set_int_max_str_digits`` accepts, so no setting of it can
+      refuse one. Other bases take one division per digit, with no
+      remainder compared, as L is known.
 
     The endpoint x = 1 is rejected: it has no digit string starting "0.",
     so this package works on [0, 1).
@@ -346,12 +412,39 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         return RadixExpansion._trusted(b, tuple(preperiod), (0,))
     first = remainder
     period = []
+    # The walk's one compare bounds it: the target is the remainder
+    # _DIVISION_DIGITS digits on, which a longer period first meets after
+    # exactly that many digits and a shorter one meets at its close or
+    # sooner, and then walks on to `first`. A period is shorter than
+    # `rest`, so a small `rest` needs no target.
+    target = first if rest <= _DIVISION_DIGITS else first * pow(b, _DIVISION_DIGITS, q) % q
     while True:
         remainder *= b
         period.append(remainder // q)
         remainder %= q
-        if remainder == first:
-            return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
+        if remainder == target:
+            if remainder == first:
+                return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
+            if len(period) == _DIVISION_DIGITS:
+                break
+            target = first
+    length = _order(b, rest)
+    _probe_memory(8 * length, f"a period of {length} digits")
+    left = length - _DIVISION_DIGITS
+    code = _FORMAT_CODES.get(b)
+    if code is None:
+        for _ in range(left):
+            remainder *= b
+            period.append(remainder // q)
+            remainder %= q
+        return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
+    scale, spec = b**_DIVISION_DIGITS, f"0{_DIVISION_DIGITS}{code}"
+    blocks = []
+    for _ in range(-(-left // _DIVISION_DIGITS)):
+        block, remainder = divmod(remainder * scale, q)
+        blocks.append(format(block, spec))
+    tail = "".join(blocks).encode("ascii")[:left].translate(_FORMAT_TO_DIGIT)
+    return RadixExpansion._trusted(b, tuple(preperiod), tuple(bytes(period) + tail))
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:
@@ -419,16 +512,21 @@ def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
     Joined, the strs are `digits_to_text` of all the digits: up to base
     10 each ``bytes`` chunk is translated to ASCII digits, and above, the
     tokens of a chunk are joined by commas, with one more comma before
-    every chunk but the first that holds a digit.
+    every chunk but the first that holds a digit. A chunk that is the
+    previous chunk object again, as a period's chunks are, is not
+    rendered again.
     """
     if base <= 10:
         for chunk in chunks:
             yield chunk.translate(_DIGIT_TO_CHAR).decode("ascii")
         return
     comma = ""
+    previous = text = None
     for chunk in chunks:
         if chunk:
-            yield comma + ",".join(map(str, chunk))
+            if chunk is not previous:
+                previous, text = chunk, ",".join(map(str, chunk))
+            yield comma + text
             comma = ","
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence, Union
 
-from .core import DigitStream, RadixExpansion
+from .core import DigitStream, RadixExpansion, _probe_memory
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, decimal_str
 
@@ -122,19 +122,6 @@ class Undetermined:
 ConvergenceVerdict = Union[Converged, Oscillating, Undetermined]
 
 
-def _probe_row(base: int) -> None:
-    """Raise MemoryError at once when no row of `base` counts fits in memory.
-
-    ``bytes(n)`` asks calloc for n zero bytes, about the size of a row's
-    tuple of `base` pointers, so the probe neither touches nor keeps that
-    memory; a row that cannot fit fails here instead of after a long loop.
-    """
-    try:
-        bytes(8 * base)
-    except OverflowError:  # larger than any address space
-        raise MemoryError(f"a row of {base} counts") from None
-
-
 def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[PartialStats]:
     """Statistics of `stream` at each checkpoint depth, in one pass.
 
@@ -150,7 +137,7 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     base = stream.base
 
     def row(truncated: bool) -> PartialStats:
-        _probe_row(base)
+        _probe_memory(8 * base, f"a row of {base} counts")  # a row's tuple of `base` pointers
         return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
 
     counts: Counter[int] = Counter()

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from math import gcd
 
 import pytest
@@ -176,11 +176,86 @@ def test_expand_rational_matches_long_division_oracle():
                     assert (expansion.base, expansion.preperiod, expansion.period) == (base, *expansions[p]), (p, q, base)
 
 
-@pytest.mark.parametrize("p,q,base", [(12345, 99991, 10), (1, 99991, 2), (777, 3 * 99991, 16), (5, 2**80 * 7, 12)])
+def long_division(p: int, q: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of p/q in lowest terms, one digit per step of the remainder r -> r*base mod q.
+
+    A preperiod is shorter than q.bit_length() digits, so the remainder
+    after that many steps lies on the cycle: the period is as long as the
+    walk back to it, and the preperiod ends at the first remainder that
+    recurs that many steps later.
+    """
+    digits, r = [], p
+    for _ in range(q.bit_length()):
+        r *= base
+        digits.append(r // q)
+        r %= q
+    start = r
+    while True:
+        r *= base
+        digits.append(r // q)
+        r %= q
+        if r == start:
+            break
+    length = len(digits) - q.bit_length()
+    m = next(k for k in count() if p * pow(base, k, q) % q == p * pow(base, k + length, q) % q)
+    return tuple(digits[:m]), tuple(digits[m : m + length])
+
+
+@pytest.mark.parametrize(
+    "p,q,base",
+    [(12345, 99991, 10), (1, 99991, 2), (777, 3 * 99991, 16), (5, 2**80 * 7, 12)]
+    + [(1, 999983, 3), (1, 999983, 10), (1, 999983, 16), (12345, 99991, 3), (12345, 99991, 16)]
+    + [(5, 32 * 999983, 10), (5, 32 * 999983, 12), (5, 32 * 999983, 16)],  # with a preperiod
+)
 def test_long_expansion_round_trip(p, q, base):
     e = expand_rational(p, q, base)
     assert len(e.preperiod) + len(e.period) > 40
+    assert (e.preperiod, e.period) == long_division(p, q, base)
     assert evaluate_expansion(e) == Fraction(p, q)
+
+
+def walk_length(base: int, modulus: int) -> int:
+    """The length of the cycle of r -> r*base mod `modulus` through 1, walked one remainder at a time."""
+    r, length = base % modulus, 1
+    while r != 1:
+        r = r * base % modulus
+        length += 1
+    return length
+
+
+@pytest.mark.parametrize("baby_steps", [core._BABY_STEPS, 5])
+def test_order_matches_the_remainder_walk(monkeypatch, baby_steps):
+    monkeypatch.setattr(core, "_BABY_STEPS", baby_steps)
+    for base in range(2, 17):
+        for q in range(2, 3001):
+            if gcd(q, base) == 1:
+                assert core._order(base, q) == walk_length(base, q), (base, q)
+
+
+def test_order_search_memory_does_not_grow_with_the_modulus():
+    """A period of 20000 digits modulo 2**20000 - 1: the baby steps hold no more bits than 2**16 residues of 64 bits."""
+    tracemalloc.start()
+    try:
+        expansion = expand_rational(12345, 2**20000 - 1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a table of all 20000 baby steps, 20000 bits each, takes about 28 MB
+    assert len(expansion.period) == 20000
+    assert evaluate_expansion(expansion) == Fraction(12345, 2**20000 - 1)
+
+
+def test_expand_rational_in_blocks_matches_long_division_oracle(monkeypatch):
+    """The oracle's inputs with a walk of 1, 2 and 7 digits: every longer period is searched and spans many blocks."""
+    for base in range(2, 17):
+        for q in range(1, 301):
+            expansions = remainder_cycle_oracle(q, base)
+            for division_digits in (1, 2, 7):
+                monkeypatch.setattr(core, "_DIVISION_DIGITS", division_digits)
+                for p in range(q):
+                    if gcd(p, q) == 1:
+                        expansion = expand_rational(p, q, base)
+                        assert (expansion.preperiod, expansion.period) == expansions[p], (p, q, base, division_digits)
 
 
 def test_base_validation():

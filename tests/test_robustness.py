@@ -45,6 +45,7 @@ EXTREME = [
     (["construct-freq", "--tau", "1/709,1/701,495599/497009", "--count", HUGE], b"", True),  # a long period
     (["simulate", "--base", "3", "--n", "10", "--trials", str(10**11), "--seed", "1"], b"", False),
     (["digits", "--base", "10", "--rational", "1/7", "--count", HUGE, "--format", "json"], b"", True),
+    (["digits", "--base", "10", "--rational", "1/1000000000000000003"], b"", False),  # a period larger than memory
 ]
 
 
