@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construct import (
     _beatty_stream,
@@ -33,7 +33,7 @@ from .construct import (
     construct_mean_without_frequency,
     floor_weighted_average,
 )
-from .core import DigitStream, _digit_text, _first, expand_rational, format_expansion
+from .core import DigitStream, _digit_text, expand_rational, format_expansion
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
 from .simulate import ExperimentConfig, normality_experiment, summary_to_json
@@ -99,19 +99,9 @@ class _Table(NamedTuple):
     rows: Iterable[Sequence[object]]  # cells are printed with str()
 
 
-class _Digits(NamedTuple):
-    """The first `count` digits of `stream`, written as digit text a chunk at a time, as they are made."""
-
-    stream: DigitStream
-    count: int
-
-    @property
-    def mark(self) -> str:
-        """A view's stand-in for the digit text: unique in it, with a comma just when the text has one."""
-        return "<digits,>" if self.stream.base > 10 and self.count > 1 else "<digits>"
-
-    def text(self) -> Iterator[str]:
-        return _digit_text(_first(self.stream._chunks(self.count), self.count), self.stream.base)
+def _mark(stream: DigitStream) -> str:
+    """A view's stand-in for the digit text: unique in it, with a comma just when the text has one."""
+    return "<digits,>" if stream.base > 10 and stream.length > 1 else "<digits>"
 
 
 class _Output(NamedTuple):
@@ -121,23 +111,25 @@ class _Output(NamedTuple):
     text already rendered (CSV the library wrote); the JSON view is a
     payload or JSON text. A view that costs work the other formats do not
     need is given as a function returning it, so only the requested view
-    is built. Where `digits` is given, each view holds its `mark`, and
-    the digit text is written there as it is made.
+    is built. Where the bounded stream `digits` is given, each view holds
+    its `_mark`, and the digit text is written there a chunk at a time, as
+    it is made.
     """
 
     json: object
     table: object
     csv: object = None  # None: there is no CSV form
-    digits: _Digits | None = None
+    digits: DigitStream | None = None
 
 
 def _render(output: _Output, fmt: str) -> Iterable[str]:
     """The pieces of text to write, in order; the digit text is made as it is written."""
     text = _view_text(output, fmt)
-    if output.digits is None:
+    digits = output.digits
+    if digits is None:
         return (text,)
-    head, tail = text.split(output.digits.mark)
-    return chain((head,), output.digits.text(), (tail,))
+    head, tail = text.split(_mark(digits))
+    return chain((head,), _digit_text(digits._chunks(), digits.base), (tail,))
 
 
 def _view_text(output: _Output, fmt: str) -> str:
@@ -163,11 +155,11 @@ def _view_text(output: _Output, fmt: str) -> str:
 
 def _stream_output(stream: DigitStream) -> _Output:
     """Every digit of the bounded `stream`, as digit text, or as JSON with its base and count."""
-    digits = _Digits(stream, stream.length)
+    mark = _mark(stream)
     return _Output(
-        json={"base": stream.base, "count": stream.length, "digits": digits.mark},
-        table=digits.mark + "\n",
-        digits=digits,
+        json={"base": stream.base, "count": stream.length, "digits": mark},
+        table=mark + "\n",
+        digits=stream,
     )
 
 
@@ -180,8 +172,8 @@ def _cmd_digits(args) -> _Output:
     text = format_expansion(expansion)
     digits = mark = None
     if args.count is not None:
-        digits = _Digits(DigitStream.from_expansion(expansion), coerce_index(args.count, "count", 0))
-        mark = digits.mark
+        digits = DigitStream.from_expansion(expansion)._head(coerce_index(args.count, "count", 0))
+        mark = _mark(digits)
     shown = [] if digits is None else [("digits", mark)]
     return _Output(
         json=lambda: {

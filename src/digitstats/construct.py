@@ -28,13 +28,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, repeat
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
-from . import core
-from .core import DigitStream, _Chunk, _first, _periodic, _take
+from .core import DigitStream, _repeated, _run_chunks
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 from .stats import FrequencyProfile
@@ -85,7 +84,8 @@ def beatty_construct(a, b, count: int) -> list[int]:
     [(n+q)*a] = [n*a] + p; so the digits repeat with the period
     lcm(a.denominator, b.denominator), and only one period is computed.
     """
-    return _digits(_beatty_stream(a, b, count))
+    stream = _beatty_stream(a, b, count)
+    return stream.take(stream.length)
 
 
 def _beatty_stream(a, b, count: int) -> DigitStream:
@@ -113,7 +113,7 @@ def _beatty_stream(a, b, count: int) -> DigitStream:
             floor_a = next_a
             floor_b = next_b
 
-    return _stream(3, count, _repeated(period, 3))
+    return DigitStream._trusted(3, None, _repeated(period, 3))._head(count)
 
 
 def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
@@ -131,7 +131,8 @@ def quota_construct(profile: FrequencyProfile, count: int) -> list[int]:
     only where m is a multiple of the common denominator of the targets,
     so it is checked there, and the period ends at the first such m.
     """
-    return _digits(_quota_stream(profile, count))
+    stream = _quota_stream(profile, count)
+    return stream.take(stream.length)
 
 
 def _quota_stream(profile: FrequencyProfile, count: int) -> DigitStream:
@@ -158,46 +159,7 @@ def _quota_stream(profile: FrequencyProfile, count: int) -> DigitStream:
             if m % scale == 0 and all(c * scale == m * w for c, w in zip(counts, weights)):
                 return
 
-    return _stream(profile.base, count, _repeated(period, profile.base))
-
-
-def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
-    """Chunks of the digits `period()` yields, repeated forever.
-
-    A period that ends within the first chunk is kept and repeated (see
-    `core._periodic`); a longer one is made again for each repeat, so no
-    more than one chunk is held whatever the period's length. The first
-    chunk stops at depth `stop`. Chunks are bytes up to base 10, else
-    tuples.
-    """
-    pack = bytes if base <= 10 else tuple
-
-    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-        size = core._CHUNK_DIGITS if stop is None else min(core._CHUNK_DIGITS, stop)
-        digits = period()
-        head = pack(islice(digits, size))
-        if len(head) < size:
-            yield from _periodic((), head, base)()
-            return
-        yield head
-        digits = chain(digits, chain.from_iterable(iter(period, None)))  # period() once per repeat
-        yield from iter(lambda: pack(islice(digits, core._CHUNK_DIGITS)), pack())
-
-    return chunks
-
-
-def _stream(base: int, count: int, chunks: Callable[..., Iterator[_Chunk]]) -> DigitStream:
-    """The stream of the first `count` digits of the trusted chunks `chunks(stop)` yields."""
-
-    def first(stop: int | None = None) -> Iterator[_Chunk]:
-        return _first(chunks(count if stop is None else min(stop, count)), count)
-
-    return DigitStream._trusted(base, count, first)
-
-
-def _digits(stream: DigitStream) -> list[int]:
-    """All the digits of the bounded `stream` as a list."""
-    return _take(stream._chunks(), stream.length)
+    return DigitStream._trusted(profile.base, None, _repeated(period, profile.base))._head(count)
 
 
 def floor_weighted_average(x, k: int, n: int) -> Fraction:
@@ -428,7 +390,8 @@ def no_mean_example(count: int) -> list[int]:
     returns to exactly 1/2 at the end of each 1-run, so it has no limit
     even though a mean is the weakest digit statistic.
     """
-    return _digits(_no_mean_stream(count))
+    stream = _no_mean_stream(count)
+    return stream.take(stream.length)
 
 
 def _no_mean_stream(count: int) -> DigitStream:
@@ -439,20 +402,7 @@ def _no_mean_stream(count: int) -> DigitStream:
         lengths = accumulate(repeat(2), mul, initial=1)  # 1, 2, 4, ...
         return _run_chunks(cycle((0, 1)), chain.from_iterable(map(repeat, lengths, repeat(2))))
 
-    return _stream(2, count, runs)
-
-
-def _run_chunks(digits: Iterable[int], lengths: Iterable[int]) -> Iterator[bytes]:
-    """Each of `digits` repeated as often as the matching one of `lengths` says.
-
-    The runs come in bytes pieces of at most _CHUNK_DIGITS digits.
-    """
-    for digit, length in zip(digits, lengths):
-        whole, part = divmod(length, core._CHUNK_DIGITS)
-        if whole:
-            yield from repeat(bytes((digit,)) * core._CHUNK_DIGITS, whole)
-        if part:
-            yield bytes((digit,)) * part
+    return DigitStream._trusted(2, None, runs)._head(count)
 
 
 def _no_mean_run_ends(c: int, max_depth: int) -> list[int]:

@@ -42,9 +42,14 @@ _BYTE_VALUES = bytes(range(256))
 
 
 def _check_base(base: int) -> int:
-    if not isinstance(base, int) or base < 2:
+    """`base` as a plain int (through `operator.index`) of at least 2; else DomainError."""
+    try:
+        value = operator.index(base)
+    except TypeError:
+        value = 0
+    if value < 2:
         raise DomainError(f"base must be an integer >= 2, got {base!r}")
-    return base
+    return value
 
 
 def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chunk:
@@ -117,9 +122,10 @@ class DigitStream:
         Only for streams the package builds: `from_digits`, `constant` and
         `with_prefix` checked their digits on construction; an expansion's
         digits come from a checked or long-division `RadixExpansion`; block
-        runs are of 0, 1 and 2; and a digit text is checked whole before
-        any of it is counted. `chunks(stop=None)` yields the digits in
-        chunks.
+        runs are of 0, 1 and 2; a digit text is checked whole before any of
+        it is counted; and a `_head` passes on its stream's chunks, checked
+        as that stream checks them. `chunks(stop=None)` yields the digits
+        in chunks.
         """
         stream = object.__new__(cls)
         stream.base, stream.length, stream._chunks = base, length, chunks
@@ -132,6 +138,16 @@ class DigitStream:
         """First `count` digits (fewer if the stream is shorter)."""
         count = coerce_index(count, "count", 0)
         return _take(self._chunks(count), count)
+
+    def _head(self, count: int) -> "DigitStream":
+        """A trusted stream of the first `count` digits, or of all of them if the stream is shorter."""
+        length = count if self.length is None else min(count, self.length)
+
+        def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+            n = length if stop is None else min(stop, length)
+            return _first(self._chunks(n), n)
+
+        return DigitStream._trusted(self.base, length, chunks)
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
@@ -217,6 +233,43 @@ def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[
     return chunks
 
 
+def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
+    """Chunks of the digits `period()` yields, repeated forever.
+
+    A period that ends within the first chunk is kept and repeated (see
+    `_periodic`); a longer one is made again for each repeat, so no more
+    than one chunk is held whatever the period's length. The first chunk
+    stops at depth `stop`. Chunks are bytes up to base 10, else tuples.
+    """
+    pack = bytes if base <= 10 else tuple
+
+    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
+        size = _CHUNK_DIGITS if stop is None else min(_CHUNK_DIGITS, stop)
+        digits = period()
+        head = pack(itertools.islice(digits, size))
+        if len(head) < size:
+            yield from _periodic((), head, base)()
+            return
+        yield head
+        digits = itertools.chain(digits, itertools.chain.from_iterable(iter(period, None)))  # one period() a repeat
+        yield from iter(lambda: pack(itertools.islice(digits, _CHUNK_DIGITS)), pack())
+
+    return chunks
+
+
+def _run_chunks(digits: Iterable[int], lengths: Iterable[int]) -> Iterator[bytes]:
+    """Each of `digits` repeated as often as the matching one of `lengths` says.
+
+    The runs come in bytes pieces of at most _CHUNK_DIGITS digits.
+    """
+    for digit, length in zip(digits, lengths):
+        whole, part = divmod(length, _CHUNK_DIGITS)
+        if whole:
+            yield from itertools.repeat(bytes((digit,)) * _CHUNK_DIGITS, whole)
+        if part:
+            yield bytes((digit,)) * part
+
+
 def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
     """The chunks of the first `count` digits of `chunks`, the last one cut to fit; none read past it."""
     if count <= 0:
@@ -273,6 +326,7 @@ class RadixExpansion:
 
     def __post_init__(self) -> None:
         b = _check_base(self.base)
+        object.__setattr__(self, "base", b)
         object.__setattr__(self, "preperiod", tuple(_check_digits(tuple(self.preperiod), b)))
         object.__setattr__(self, "period", tuple(_check_digits(tuple(self.period), b)))
         if not self.period:
@@ -387,8 +441,10 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     so this package works on [0, 1).
     """
     b = _check_base(base)
-    if not isinstance(p, int) or not isinstance(q, int):
-        raise DomainError(f"p and q must be integers, got p={p!r}, q={q!r}")
+    try:
+        p, q = operator.index(p), operator.index(q)
+    except TypeError:
+        raise DomainError(f"p and q must be integers, got p={p!r}, q={q!r}") from None
     if q < 1 or p < 0:
         raise DomainError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
     if p >= q:
@@ -501,9 +557,7 @@ def digits_to_text(digits: Iterable[int], base: int) -> str:
 
     The digits must already lie in [0, base).
     """
-    if base <= 10:
-        return bytes(digits).translate(_DIGIT_TO_CHAR).decode("ascii")
-    return ",".join(map(str, digits))
+    return "".join(_digit_text(((bytes if base <= 10 else tuple)(digits),), base))
 
 
 def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:

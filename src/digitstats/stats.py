@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence, Union
 
-from .core import DigitStream, RadixExpansion, _probe_memory
+from .core import DigitStream, RadixExpansion, _check_base, _probe_memory
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, decimal_str
 
@@ -57,8 +57,9 @@ class PartialStats:
     truncated: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "counts", tuple(self.counts))
-        if self.base < 2 or len(self.counts) != self.base:
+        if len(self.counts) != self.base:
             raise DomainError(f"counts must have one entry per digit of base {self.base}")
         if self.n < 1 or any(c < 0 for c in self.counts) or sum(self.counts) != self.n:
             raise DomainError(f"counts {self.counts} do not sum to depth {self.n}")
@@ -80,8 +81,9 @@ class FrequencyProfile:
     tau: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "tau", tuple(coerce_rational(t) for t in self.tau))
-        if self.base < 2 or len(self.tau) != self.base:
+        if len(self.tau) != self.base:
             raise DomainError(f"tau must have one entry per digit of base {self.base}")
         if any(t < 0 for t in self.tau):
             raise DomainError(f"frequencies must be nonnegative, got {self.tau}")
@@ -135,9 +137,9 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
         raise DomainError(f"checkpoints must be strictly ascending, got {marks}")
 
     base = stream.base
+    _probe_memory(8 * base, f"a row of {base} counts")  # a row's `base` pointers, before any digit
 
     def row(truncated: bool) -> PartialStats:
-        _probe_memory(8 * base, f"a row of {base} counts")  # a row's tuple of `base` pointers
         return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
 
     counts: Counter[int] = Counter()

@@ -54,6 +54,23 @@ def test_usage_error_exit_code(capsys):
     assert capsys.readouterr().err.startswith("error: usage:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--base", "2", "--checkpoints", "geometric:1,2"],
+        ["stats", "--base", "2", "--checkpoints", "list:1,x"],
+        ["stats", "--base", "2", "--checkpoints", "list: ,"],
+        ["stats", "--base", "2", "--checkpoints", "linear:1,2"],
+        ["construct-freq", "--tau", ", ,", "--count", "3"],
+    ],
+)
+def test_malformed_checkpoints_or_tau_is_one_line_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    err = capsys.readouterr().err
+    assert (exc.value.code, err.count("\n")) == (2, 1) and err.startswith("error: usage: argument --")
+
+
 def test_malformed_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["digits", "--base", "3", "--rational", "x/y"])

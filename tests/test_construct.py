@@ -15,6 +15,7 @@ from digitstats import (
     DomainError,
     FrequencyProfile,
     Infeasible,
+    OscillationSchedule,
     beatty_construct,
     beatty_indicator,
     block_boundaries,
@@ -119,6 +120,7 @@ def test_floor_weighted_average_known_values():
     assert floor_weighted_average(2, 1, 5) == 2
     assert floor_weighted_average(0, 1, 9) == 0
     assert floor_weighted_average(F(1, 2), 1, 4) == F(2, 5)
+    assert floor_weighted_average(0.3, 10, 10) == F(3, 55)  # a float is read by its repr: [10 * 0.3] = 3
 
 
 def test_floor_weighted_average_sandwich():
@@ -143,6 +145,8 @@ def test_floor_weighted_average_validation():
         floor_weighted_average(F(-1, 2), 1, 2)
     with pytest.raises(DomainError):
         floor_weighted_average(F(1, 2), 0, 2)
+    with pytest.raises(DomainError, match="cannot interpret"):
+        floor_weighted_average(None, 1, 2)
 
 
 def test_schedule_first_breakpoint_is_one():
@@ -197,6 +201,13 @@ def test_schedule_validation():
     with pytest.raises(DomainError):
         schedule = build_oscillating_schedule(F(1, 5), F(2, 5), F(1, 20), 10)
         schedule.value_at(11)
+    for breakpoints, w_values, message in [
+        ((3,), (), "one w value"),
+        ((3, 3), (F(1, 5), F(2, 5)), "strictly ascending"),
+        ((11,), (F(1, 5),), "exceed the horizon"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            OscillationSchedule(F(1, 5), F(2, 5), F(1, 20), 10, breakpoints, w_values)
 
 
 def test_construct_mean_nofreq_infeasible_endpoints():

@@ -13,6 +13,7 @@ from digitstats import (
     DomainError,
     ExperimentConfig,
     FrequencyProfile,
+    PartialStats,
     RadixExpansion,
     beatty_indicator,
     build_oscillating_schedule,
@@ -133,7 +134,7 @@ def test_expand_rational_reduces_internally():
     assert expand_rational(2, 8, 3) == expand_rational(1, 4, 3)
 
 
-@pytest.mark.parametrize("p,q", [(3, 2), (1, 0), (-1, 2), (2, 2)])
+@pytest.mark.parametrize("p,q", [(3, 2), (1, 0), (-1, 2), (2, 2), (1.0, 3), (1, Fraction(3))])
 def test_expand_rational_domain_errors(p, q):
     with pytest.raises(DomainError):
         expand_rational(p, q, 3)
@@ -260,17 +261,31 @@ def test_expand_rational_in_blocks_matches_long_division_oracle(monkeypatch):
 
 def test_base_validation():
     assert DigitStream.constant(0, 2).base == RadixExpansion(2, (), (0,)).base == 2
-    for base in [1, 0, -2, 2.0, "3", None]:
+    for base in [1, 0, -2, 2.0, 3.0, "3", None, Index(1)]:
         constructors = [
             lambda: DigitStream.from_digits([], base),
             lambda: DigitStream.constant(0, base),
             lambda: DigitStream.from_function(lambda n: 0, base),
             lambda: RadixExpansion(base, (), (0,)),
             lambda: expand_rational(0, 1, base),
+            lambda: FrequencyProfile(base, (Fraction(1, 3),) * 3),
+            lambda: PartialStats(base, 1, (1, 0, 0)),
         ]
         for construct in constructors:
             with pytest.raises(DomainError, match="base must be an integer >= 2"):
                 construct()
+    # any operator.index integer is a base, kept as a plain int
+    records = [
+        DigitStream.from_digits([0, 1, 2], Index(3)),
+        DigitStream.constant(0, Index(3)),
+        DigitStream.from_function(lambda n: 0, Index(3)),
+        RadixExpansion(Index(3), (), (1,)),
+        expand_rational(Index(1), Index(9), Index(3)),
+        FrequencyProfile(Index(3), (Fraction(1, 3),) * 3),
+        PartialStats(Index(3), 1, (1, 0, 0)),
+    ]
+    assert [(record.base, type(record.base)) for record in records] == [(3, int)] * len(records)
+    assert expand_rational(Index(1), Index(7), Index(10)) == expand_rational(1, 7, 10)
 
 
 def test_digit_stream_is_rereadable():
@@ -458,7 +473,26 @@ def test_take_and_iteration_match_independent_digits_at_every_chunk_edge(monkeyp
             want = expected[:n]
             assert stream.take(n) == want, (name, n)
             assert list(islice(iter(stream), n)) == want, (name, n)
+            head = stream._head(n)
+            assert head.length == len(want), (name, n)
+            assert head.take(n + 1) == list(head) == want, (name, n)
+            if want:  # counted to its end, and past it
+                counts_of_want = tuple(want.count(d) for d in range(base))
+                assert running_stats(head, [len(want)]) == [PartialStats(base, len(want), counts_of_want)], (name, n)
+                assert running_stats(head, [len(want) + 1])[-1].truncated, (name, n)
+            for k in (n // 2, n + 1):
+                assert head._head(k).take(k + 1) == want[:k], (name, n, k)
         assert {type(d) for d in stream.take(40)} == {int}, name
+
+
+def test_only_core_makes_cuts_or_bounds_chunks():
+    # construct supplies digit rules and the CLI writes bounded streams; neither handles chunks itself
+    from digitstats import cli, construct
+
+    for module in (construct, cli):
+        names = vars(module)
+        assert not {"_first", "_take", "_periodic", "_Chunk"} & names.keys(), module.__name__
+        assert core not in names.values(), module.__name__
 
 
 def test_with_prefix_identity_and_concatenation():

@@ -181,6 +181,14 @@ def test_running_stats_matches_prefix_counts_for_every_chunk_kind(monkeypatch, c
             assert [(r.n, r.counts, r.truncated) for r in rows] == expected
 
 
+def test_running_stats_probes_its_row_size_before_reading_a_digit():
+    positions = []
+    stream = DigitStream.from_function(lambda n: positions.append(n) or 0, 2**64)
+    with pytest.raises(MemoryError):  # 2**64 counts cannot fit in any address space
+        running_stats(stream, [5, 10])
+    assert positions == []
+
+
 def test_running_stats_checkpoint_validation():
     stream = DigitStream.constant(0, 2)
     for bad in ([], [0, 2], [3, 3], [5, 2]):
@@ -226,6 +234,8 @@ def test_frequency_profile_validation():
         FrequencyProfile(3, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(DomainError):
         FrequencyProfile(3, (Fraction(3, 2), Fraction(-1, 2), 0))
+    with pytest.raises(DomainError, match="one entry per digit of base 3"):
+        FrequencyProfile(3, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_exact_frequencies_rational():
@@ -251,6 +261,8 @@ def test_solve_ternary_system_known_values():
 def test_solve_ternary_system_infeasible():
     with pytest.raises(Infeasible):
         solve_ternary_system(Fraction(9, 10), Fraction(3, 2))  # v1 = -13/10
+    with pytest.raises(Infeasible, match="v2=-3/10"):
+        solve_ternary_system(Fraction(3, 5), Fraction(1, 10))
 
 
 def test_solve_ternary_system_domain():
@@ -307,6 +319,11 @@ def test_classify_limit_oscillation():
     assert isinstance(verdict, Oscillating)
     assert verdict.limsup_estimate - verdict.liminf_estimate == 1
     assert len(verdict.witness_depths) >= 4
+    # a sample between the two thresholds belongs to no excursion
+    samples = [(n, (Fraction(0), Fraction(1), Fraction(1, 2))[n % 3]) for n in range(1, 13)]
+    verdict = classify_limit(samples)
+    assert isinstance(verdict, Oscillating)
+    assert verdict.witness_depths == (7, 9, 10, 12)
 
 
 def test_classify_limit_monotone_drift_is_undetermined():
@@ -403,6 +420,8 @@ def test_stats_json_mirror():
 def test_stats_export_rejects_empty():
     with pytest.raises(DomainError):
         stats_to_csv([])
+    with pytest.raises(DomainError, match="mix bases"):
+        stats_to_csv([PartialStats(2, 1, (1, 0)), PartialStats(3, 2, (1, 1, 0))])
 
 
 def reference_decimal_str(value, digits=20) -> str:
