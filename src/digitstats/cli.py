@@ -24,19 +24,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .construct import (
-    _beatty_stream,
-    _no_mean_stream,
-    _quota_stream,
-    blockspec_table,
-    build_oscillating_schedule,
-    construct_mean_without_frequency,
-    floor_weighted_average,
-)
 from .core import DigitStream, _digit_text, expand_rational, format_expansion
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
-from .simulate import ExperimentConfig, normality_experiment, summary_to_json
 from .stats import (
     FrequencyProfile,
     _csv_text,
@@ -164,6 +154,8 @@ def _stream_output(stream: DigitStream) -> _Output:
 
 
 # ---------------------------------------------------------------- handlers
+# A handler imports `construct` or `simulate` itself, so that a subcommand
+# loads only the layers it runs.
 
 
 def _cmd_digits(args) -> _Output:
@@ -214,6 +206,8 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_construct_freq(args) -> _Output:
+    from .construct import _beatty_stream, _quota_stream
+
     if args.rule == "quota":
         if args.tau is None:
             raise _UsageError("--rule quota requires --tau")
@@ -224,6 +218,8 @@ def _cmd_construct_freq(args) -> _Output:
 
 
 def _cmd_construct_mean_nofreq(args) -> _Output:
+    from .construct import blockspec_table, construct_mean_without_frequency
+
     spec, stream = construct_mean_without_frequency(
         args.theta, args.x1, args.x2, args.eps, args.blocks
     )
@@ -243,10 +239,14 @@ def _cmd_construct_mean_nofreq(args) -> _Output:
 
 
 def _cmd_no_mean_example(args) -> _Output:
+    from .construct import _no_mean_stream
+
     return _stream_output(_no_mean_stream(args.count))
 
 
 def _cmd_floor_average(args) -> _Output:
+    from .construct import floor_weighted_average
+
     w = floor_weighted_average(args.x, args.k, args.n)
     exact, decimal = ratio_str(w), decimal_str(w)
     record = [("x", ratio_str(args.x)), ("k", args.k), ("n", args.n), ("w", exact), ("w_decimal", decimal)]
@@ -254,6 +254,8 @@ def _cmd_floor_average(args) -> _Output:
 
 
 def _cmd_schedule(args) -> _Output:
+    from .construct import build_oscillating_schedule
+
     schedule = build_oscillating_schedule(args.x1, args.x2, args.eps, args.n)
     rows = [
         [k, n, ratio_str(w), decimal_str(w)]
@@ -274,6 +276,8 @@ def _cmd_schedule(args) -> _Output:
 
 
 def _cmd_simulate(args) -> _Output:
+    from .simulate import ExperimentConfig, normality_experiment, summary_to_json
+
     cfg = ExperimentConfig(base=args.base, depth=args.n, trials=args.trials, master_seed=args.seed)
     summary = normality_experiment(cfg, args.band, workers=args.workers)
     return _Output(

@@ -26,14 +26,13 @@ division.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, repeat
 from math import lcm
 from operator import mul
 from typing import Iterator
 
-from .core import DigitStream, _repeated, _run_chunks
+from .core import DigitStream, _Record, _repeated, _run_chunks, _set
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 from .stats import FrequencyProfile
@@ -198,8 +197,7 @@ def _floor_sum(n: int, a: int, b: int, m: int) -> int:
         n, b, m, a = top // m, top % m, a, m
 
 
-@dataclass(frozen=True)
-class OscillationSchedule:
+class OscillationSchedule(_Record):
     """A value sequence alternating x1-runs and x2-runs, x1 first.
 
     ``breakpoints[i]`` is the last index of run i+1; the floor-weighted
@@ -209,20 +207,29 @@ class OscillationSchedule:
     1..horizon.
     """
 
-    x1: Fraction
-    x2: Fraction
-    epsilon: Fraction
-    horizon: int
-    breakpoints: tuple[int, ...]
-    w_at_breakpoints: tuple[Fraction, ...]
+    __slots__ = ("x1", "x2", "epsilon", "horizon", "breakpoints", "w_at_breakpoints")
 
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) != len(self.w_at_breakpoints):
+    def __init__(
+        self,
+        x1: Fraction,
+        x2: Fraction,
+        epsilon: Fraction,
+        horizon: int,
+        breakpoints: tuple[int, ...],
+        w_at_breakpoints: tuple[Fraction, ...],
+    ) -> None:
+        if len(breakpoints) != len(w_at_breakpoints):
             raise DomainError("one w value is required per breakpoint")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
             raise DomainError("breakpoints must be strictly ascending")
-        if self.breakpoints and self.breakpoints[-1] > self.horizon:
+        if breakpoints and breakpoints[-1] > horizon:
             raise DomainError("breakpoints cannot exceed the horizon")
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
+        _set(self, "epsilon", epsilon)
+        _set(self, "horizon", horizon)
+        _set(self, "breakpoints", breakpoints)
+        _set(self, "w_at_breakpoints", w_at_breakpoints)
 
     def value_at(self, n: int) -> Fraction:
         """The run value at position n: x1 in odd runs, x2 in even runs."""
@@ -287,8 +294,7 @@ def build_oscillating_schedule(x1, x2, epsilon, horizon: int) -> OscillationSche
     )
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(_Record):
     """Run lengths per block of the mean-without-frequency construction.
 
     Row k (1-based) is ([k*alpha_k], [k*beta_k], [k*gamma_k]): the counts
@@ -298,23 +304,24 @@ class BlockSpec:
     theta and the alphas on construction; zero-length runs are allowed.
     """
 
-    theta: Fraction
-    alphas: tuple[Fraction, ...]
-    rows: tuple[tuple[int, int, int], ...] = field(init=False)
+    __slots__ = ("theta", "alphas", "rows")
+    __match_args__ = ("theta", "alphas")
 
-    def __post_init__(self) -> None:
+    def __init__(self, theta: Fraction, alphas: tuple[Fraction, ...]) -> None:
         ratios = {}  # alpha -> the (numerator, denominator) of alpha, beta, gamma
         rows = []
-        for k, alpha in enumerate(self.alphas, start=1):
+        for k, alpha in enumerate(alphas, start=1):
             if alpha not in ratios:
-                beta = 2 - 2 * alpha - self.theta
-                gamma = alpha - 1 + self.theta
+                beta = 2 - 2 * alpha - theta
+                gamma = alpha - 1 + theta
                 if beta < 0 or gamma < 0 or alpha < 0:
                     raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
                 ratios[alpha] = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
             (ap, aq), (bp, bq), (gp, gq) = ratios[alpha]
             rows.append((k * ap // aq, k * bp // bq, k * gp // gq))
-        object.__setattr__(self, "rows", tuple(rows))
+        _set(self, "theta", theta)
+        _set(self, "alphas", alphas)
+        _set(self, "rows", tuple(rows))
 
     @property
     def blocks(self) -> int:

@@ -14,7 +14,6 @@ import itertools
 import operator
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -305,8 +304,63 @@ def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_
         depth += len(raw)
 
 
-@dataclass(frozen=True)
-class RadixExpansion:
+class _Record:
+    """A frozen record whose fields are its class's ``__slots__``, in order.
+
+    As a frozen dataclass does, equality (between records of one class),
+    hash and repr read the tuple of field values, and assigning or
+    deleting a field raises AttributeError. A subclass's ``__init__``
+    checks its arguments and sets each field once, by one `_set` call a
+    field, as a dataclass's generated ``__init__`` does: a loop over the
+    fields makes building a `PartialStats` about a third slower. A record
+    pickles and copies by its field values, put back unchecked by
+    `_restore`. A subclass that declares no slots keeps its base's fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("__slots__")
+        if fields:
+            get = operator.attrgetter(*fields)  # a lone field comes back bare, not in a tuple
+            cls._fields = fields
+            cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+            cls.__match_args__ = cls.__dict__.get("__match_args__", fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), self._values)
+
+
+_set = object.__setattr__  # sets a field of a record under construction
+
+
+def _restore(cls: type, values: tuple) -> _Record:
+    """A `cls` record holding the field `values`, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set(record, name, value)
+    return record
+
+
+class RadixExpansion(_Record):
     """Eventually periodic expansion ``0.<preperiod>(<period>)`` in `base`.
 
     The canonical form is enforced on construction:
@@ -320,35 +374,37 @@ class RadixExpansion:
       suffix could be rotated into the period.
     """
 
-    base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("base", "preperiod", "period")
 
-    def __post_init__(self) -> None:
-        b = _check_base(self.base)
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "preperiod", tuple(_check_digits(tuple(self.preperiod), b)))
-        object.__setattr__(self, "period", tuple(_check_digits(tuple(self.period), b)))
-        if not self.period:
+    def __init__(self, base: int, preperiod: Sequence[int], period: Sequence[int]) -> None:
+        b = _check_base(base)
+        preperiod = tuple(_check_digits(tuple(preperiod), b))
+        period = tuple(_check_digits(tuple(period), b))
+        if not period:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
-        n = len(self.period)
-        if self.period.count(b - 1) == n:
+        n = len(period)
+        if period.count(b - 1) == n:
             raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
         for width in _proper_divisors(n):
-            if self.period == self.period[:width] * (n // width):
-                raise DomainError(f"period {self.period} is a repetition of {self.period[:width]}")
-        if self.preperiod and self.preperiod[-1] == self.period[-1]:
+            if period == period[:width] * (n // width):
+                raise DomainError(f"period {period} is a repetition of {period[:width]}")
+        if preperiod and preperiod[-1] == period[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
+        _set(self, "base", b)
+        _set(self, "preperiod", preperiod)
+        _set(self, "period", period)
 
     @classmethod
     def _trusted(cls, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "RadixExpansion":
-        """An expansion made without ``__post_init__``'s checks.
+        """An expansion made without ``__init__``'s checks.
 
         Only for :func:`expand_rational`, whose long division yields digits
         in [0, base) in canonical form (see its docstring).
         """
         expansion = object.__new__(cls)
-        vars(expansion).update(base=base, preperiod=preperiod, period=period)
+        _set(expansion, "base", base)
+        _set(expansion, "preperiod", preperiod)
+        _set(expansion, "period", period)
         return expansion
 
 

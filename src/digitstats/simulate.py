@@ -23,13 +23,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
+from .core import _Record, _set
 from .errors import DomainError
 from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
 from .rationals import decimal_str, ratio_str
@@ -217,24 +217,21 @@ def uniform_digit_trial(base: int, depth: int, seed: int) -> PartialStats:
     return PartialStats(base, depth, tuple(counts))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    base: int
-    depth: int
-    trials: int
-    master_seed: int
+class ExperimentConfig(_Record):
+    """`trials` seeded trials of `depth` uniform base-`base` digits; the seed is kept mod 2**64."""
 
-    def __post_init__(self) -> None:
-        base, depth = _check_size(self.base, self.depth, "depth", 1)
-        trials = coerce_index(self.trials, "trials", 1)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "master_seed", self.master_seed & MASK64)
+    __slots__ = ("base", "depth", "trials", "master_seed")
+
+    def __init__(self, base: int, depth: int, trials: int, master_seed: int) -> None:
+        base, depth = _check_size(base, depth, "depth", 1)
+        trials = coerce_index(trials, "trials", 1)
+        _set(self, "base", base)
+        _set(self, "depth", depth)
+        _set(self, "trials", trials)
+        _set(self, "master_seed", master_seed & MASK64)
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(_Record):
     """Per-trial digit means and their aggregate statistics.
 
     `fraction_in_band` is the share of trials whose mean lies within
@@ -243,12 +240,23 @@ class ExperimentSummary:
     float `stddev` are exact.
     """
 
-    config: ExperimentConfig
-    band: Fraction
-    r_values: tuple[Fraction, ...]
-    mean: Fraction
-    variance: Fraction
-    fraction_in_band: Fraction
+    __slots__ = ("config", "band", "r_values", "mean", "variance", "fraction_in_band")
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        band: Fraction,
+        r_values: tuple[Fraction, ...],
+        mean: Fraction,
+        variance: Fraction,
+        fraction_in_band: Fraction,
+    ) -> None:
+        _set(self, "config", config)
+        _set(self, "band", band)
+        _set(self, "r_values", r_values)
+        _set(self, "mean", mean)
+        _set(self, "variance", variance)
+        _set(self, "fraction_in_band", fraction_in_band)
 
     @property
     def stddev(self) -> float:

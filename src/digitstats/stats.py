@@ -15,12 +15,12 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import index
 from typing import Iterable, Sequence, Union
 
-from .core import DigitStream, RadixExpansion, _check_base, _probe_memory
+from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _set
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, decimal_str
 
@@ -43,26 +43,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartialStats:
-    """Digit statistics of one stream prefix.
+class PartialStats(_Record):
+    """Digit statistics of one stream prefix: `counts` of each digit among the first `n`.
 
     ``truncated`` marks rows produced because the stream ended before the
     requested depth was reached.
     """
 
-    base: int
-    n: int
-    counts: tuple[int, ...]
-    truncated: bool = False
+    __slots__ = ("base", "n", "counts", "truncated")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", _check_base(self.base))
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.base:
-            raise DomainError(f"counts must have one entry per digit of base {self.base}")
-        if self.n < 1 or any(c < 0 for c in self.counts) or sum(self.counts) != self.n:
-            raise DomainError(f"counts {self.counts} do not sum to depth {self.n}")
+    def __init__(self, base: int, n: int, counts: Iterable[int], truncated: bool = False) -> None:
+        base = _check_base(base)
+        try:
+            n, counts = index(n), tuple(map(index, counts))
+        except TypeError:
+            raise DomainError(f"depth and counts must be integers, got n={n!r}, counts={counts!r}") from None
+        if len(counts) != base:
+            raise DomainError(f"counts must have one entry per digit of base {base}")
+        if n < 1 or min(counts) < 0 or sum(counts) != n:
+            raise DomainError(f"counts {counts} do not sum to depth {n}")
+        _set(self, "base", base)
+        _set(self, "n", n)
+        _set(self, "counts", counts)
+        _set(self, "truncated", truncated)
 
     @property
     def freqs(self) -> tuple[Fraction, ...]:
@@ -73,22 +76,22 @@ class PartialStats:
         return Fraction(sum(i * c for i, c in enumerate(self.counts)), self.n)
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(_Record):
     """A target digit-frequency vector (tau_0, ..., tau_{s-1})."""
 
-    base: int
-    tau: tuple[Fraction, ...]
+    __slots__ = ("base", "tau")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", _check_base(self.base))
-        object.__setattr__(self, "tau", tuple(coerce_rational(t) for t in self.tau))
-        if len(self.tau) != self.base:
-            raise DomainError(f"tau must have one entry per digit of base {self.base}")
-        if any(t < 0 for t in self.tau):
-            raise DomainError(f"frequencies must be nonnegative, got {self.tau}")
-        if sum(self.tau) != 1:
-            raise DomainError(f"frequencies must sum to 1, got sum {sum(self.tau)}")
+    def __init__(self, base: int, tau: Iterable) -> None:
+        base = _check_base(base)
+        tau = tuple(coerce_rational(t) for t in tau)
+        if len(tau) != base:
+            raise DomainError(f"tau must have one entry per digit of base {base}")
+        if any(t < 0 for t in tau):
+            raise DomainError(f"frequencies must be nonnegative, got {tau}")
+        if sum(tau) != 1:
+            raise DomainError(f"frequencies must sum to 1, got sum {sum(tau)}")
+        _set(self, "base", base)
+        _set(self, "tau", tau)
 
     @property
     def theta(self) -> Fraction:
@@ -96,29 +99,37 @@ class FrequencyProfile:
         return mean_from_frequencies(self)
 
 
-@dataclass(frozen=True)
-class Converged:
+class Converged(_Record):
     """Tail window spread is within `tolerance`; `value` is its midpoint."""
 
-    value: Fraction
-    depth: int
-    tolerance: Fraction
+    __slots__ = ("value", "depth", "tolerance")
+
+    def __init__(self, value: Fraction, depth: int, tolerance: Fraction) -> None:
+        _set(self, "value", value)
+        _set(self, "depth", depth)
+        _set(self, "tolerance", tolerance)
 
 
-@dataclass(frozen=True)
-class Oscillating:
+class Oscillating(_Record):
     """Tail window shows repeated excursions between two separated levels."""
 
-    liminf_estimate: Fraction
-    limsup_estimate: Fraction
-    witness_depths: tuple[int, ...]
+    __slots__ = ("liminf_estimate", "limsup_estimate", "witness_depths")
+
+    def __init__(
+        self, liminf_estimate: Fraction, limsup_estimate: Fraction, witness_depths: tuple[int, ...]
+    ) -> None:
+        _set(self, "liminf_estimate", liminf_estimate)
+        _set(self, "limsup_estimate", limsup_estimate)
+        _set(self, "witness_depths", witness_depths)
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(_Record):
     """Too few samples, or neither convergence nor oscillation is evident."""
 
-    depth: int
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int) -> None:
+        _set(self, "depth", depth)
 
 
 ConvergenceVerdict = Union[Converged, Oscillating, Undetermined]

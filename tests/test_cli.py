@@ -345,9 +345,47 @@ def test_stats_non_utf8_or_non_ascii_file_is_domain(capsys, tmp_path, data):
     assert err.startswith("error: domain: invalid digit character") and err.count("\n") == 1
 
 
-def test_cli_import_leaves_process_pool_out():
-    # only `simulate --workers` above 1 needs the process pool machinery
+_IMPORT_CHILD = """
+import sys
+if len(sys.argv) > 1:
+    from digitstats.cli import run_cli
+    assert run_cli(sys.argv[1:]) == 0
+else:
+    import digitstats
+print(*sys.modules)
+"""
+# no run below needs these: the process pool serves only `simulate --workers` above 1
+_UNNEEDED = {"dataclasses", "concurrent.futures.process"}
+_NO_SIMULATE = {"digitstats.simulate", *_UNNEEDED}
+_NO_CONSTRUCT = {"digitstats.construct", *_UNNEEDED}
+_SUBMODULES = {f"digitstats.{name}" for name in ("cli", "construct", "core", "errors", "rationals", "simulate", "stats")}
+# (arguments, modules the run must not load); no arguments: a bare `import digitstats`
+IMPORT_TABLE = [
+    ([], _SUBMODULES),
+    (["stats", "--base", "3", "--digits-file", "{digits}"], _NO_SIMULATE | _NO_CONSTRUCT),
+    (["digits", "--base", "3", "--rational", "1/4", "--count", "5"], _NO_SIMULATE | _NO_CONSTRUCT),
+    (["construct-freq", "--tau", "1/2,1/2", "--count", "6"], _NO_SIMULATE),
+    (["construct-freq", "--rule", "beatty", "--a", "1/3", "--b", "1/3", "--count", "6"], _NO_SIMULATE),
+    (
+        ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20", "--blocks", "5"]
+        + ["--emit", "digits"],
+        _NO_SIMULATE,
+    ),
+    (["no-mean-example", "--count", "6"], _NO_SIMULATE),
+    (["floor-average", "--x", "1/3", "--n", "5"], _NO_SIMULATE),
+    (["schedule", "--x1", "1/4", "--x2", "3/4", "--eps", "1/10", "--n", "20"], _NO_SIMULATE),
+    (["simulate", "--base", "3", "--n", "10", "--trials", "2", "--seed", "1", "--workers", "1"], _NO_CONSTRUCT),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", IMPORT_TABLE, ids=[(argv or ["import"])[0] for argv, _ in IMPORT_TABLE])
+def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, unloaded):
+    digits = tmp_path / "digits.txt"
+    digits.write_text("0120\n")
+    argv = [arg.format(digits=digits) for arg in argv] + (["--out", str(tmp_path / "out")] if argv else [])
     env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
-    code = "import sys, digitstats.cli; print('concurrent.futures.process' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "digitstats" in loaded and not loaded & unloaded

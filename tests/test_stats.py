@@ -51,6 +51,20 @@ def test_partial_stats_validation():
         PartialStats(3, 4, (2, 1, 2))  # counts exceed depth
 
 
+@pytest.mark.parametrize("n, counts", [(4.0, (2, 1, 1)), (4, (2.0, 1, 1)), (4, (2, 1, Fraction(1))), (4, None)])
+def test_partial_stats_rejects_non_integer_depth_or_counts(n, counts):
+    # a float depth or count would fail only later, in .freqs or stats_to_csv, with a TypeError
+    with pytest.raises(DomainError, match="depth and counts must be integers"):
+        PartialStats(3, n, counts)
+
+
+def test_partial_stats_keeps_integer_like_counts_as_ints():
+    row = PartialStats(3, True, [False, True, 0])
+    assert (row.n, row.counts) == (1, (0, 1, 0)) and type(row.n) is int
+    assert all(type(c) is int for c in row.counts)
+    assert stats_to_csv([row]).splitlines()[1].startswith("1,0,1,0,0,1,0,1,")
+
+
 def test_running_stats_cycle_example():
     stream = DigitStream.from_digits([0, 1, 2, 0, 1, 2], 3)
     row = running_stats(stream, [3])[0]
