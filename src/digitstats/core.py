@@ -14,6 +14,7 @@ import itertools
 import operator
 import os
 import re
+import stat
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -33,11 +34,39 @@ __all__ = [
     "parse_expansion",
 ]
 
-# A stream's digits as counting reads them: a bytes of digit values, or ints.
-_Chunk = Union[bytes, Sequence[int]]
 _CHUNK_BYTES = 1 << 20  # bytes read from a digit file at a time
-_CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator
+_CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator, and per piece a repeat is written in
+_REPEAT_DIGITS = 1 << 60  # about the most digits of one chunk of an unbounded period
 _BYTE_VALUES = bytes(range(256))
+_RUN_UNITS = tuple(_BYTE_VALUES[digit : digit + 1] for digit in range(256))  # the unit of a run of each digit
+
+
+class _Repeat:
+    """A chunk of the first `length` digits of `unit` repeated: a run when `unit` is one digit long.
+
+    `unit` is a non-empty bytes of digit values, or a tuple of ints above
+    base 10. Its ``len()`` is `length`, and a slice is a shorter repeat,
+    so a chunk's digits cost nothing until they are read: counting reads
+    the unit (``stats.running_stats``), and `_pieces` writes it out.
+    """
+
+    __slots__ = ("unit", "length")
+
+    def __init__(self, unit: Union[bytes, tuple], length: int) -> None:
+        self.unit, self.length = unit, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, cut: slice) -> "_Repeat":
+        start, stop, _ = cut.indices(self.length)
+        shift = start % len(self.unit)
+        unit = self.unit[shift:] + self.unit[:shift] if shift else self.unit
+        return _Repeat(unit, max(stop - start, 0))
+
+
+# A stream's digits as counting reads them: a bytes of digit values, ints, or a repeat.
+_Chunk = Union[bytes, Sequence[int], _Repeat]
 
 
 def _check_base(base: int) -> int:
@@ -93,11 +122,19 @@ class DigitStream:
     identical on every pass.
 
     A stream holds its digits as one thing only, ``_chunks(stop)``: a
-    callable returning an iterator of chunks, each a ``bytes`` of digit
-    values or a sequence of ints, whose reader needs no digit past depth
-    `stop` (None: all of them). Iteration, `take` and counting all read
-    it. Each digit is checked once: where the package builds the stream
-    from checked or canonical digits, on construction (see ``_trusted``);
+    callable returning an iterator of chunks, whose reader needs no digit
+    past depth `stop` (None: all of them). A chunk is one of three kinds:
+
+    * a ``bytes`` of digit values (only up to base 10);
+    * a tuple of ints;
+    * a `_Repeat`: a run of one digit, or a period, repeated to a length.
+      Block runs, the no-mean runs and every short period come as these,
+      so counting costs one step per run or period, not per digit.
+
+    Iteration, `take` and counting all read the chunks, and iteration and
+    `take` write a repeat out in pieces of at most _CHUNK_DIGITS digits.
+    Each digit is checked once: where the package builds the stream from
+    checked or canonical digits, on construction (see ``_trusted``);
     where a caller's function yields them, as each chunk is made.
     """
 
@@ -131,7 +168,7 @@ class DigitStream:
         return stream
 
     def __iter__(self) -> Iterator[int]:
-        return itertools.chain.from_iterable(self._chunks())
+        return itertools.chain.from_iterable(_pieces(self._chunks()))
 
     def take(self, count: int) -> list[int]:
         """First `count` digits (fewer if the stream is shorter)."""
@@ -174,9 +211,15 @@ class DigitStream:
         The whole file is checked here, as :meth:`from_text` checks a text,
         and nothing of it is kept: each ``iter()`` reopens the file, and
         raises DomainError if its size or modification time has changed.
-        OSError from opening or reading the file propagates.
+        A path that opens as no regular file, such as a pipe or
+        ``/dev/stdin``, yields its bytes once, so it is read whole and
+        kept, as :meth:`from_text` keeps a text. OSError from opening or
+        reading the file propagates.
         """
         b = _check_base(base)
+        with open(path, "rb") as file:
+            if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                return cls.from_text(file.read(), b)
         stamp: list[tuple[int, int]] = []
 
         def raw() -> Iterator[bytes]:
@@ -220,14 +263,16 @@ class DigitStream:
 def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[..., Iterator[_Chunk]]:
     """Chunks of the valid digits `pre` once, then `period` forever.
 
-    Each later chunk is the period repeated to about _CHUNK_DIGITS digits,
-    or the period once if it is longer: bytes up to base 10, else tuples.
+    `pre` is one chunk, and each later one a `_Repeat` of whole periods,
+    about _REPEAT_DIGITS digits long; units are bytes up to base 10, else
+    tuples.
     """
     pack = bytes if base <= 10 else tuple
     pre, period = pack(pre), pack(period)
+    repeat = _Repeat(period, len(period) * max(1, _REPEAT_DIGITS // len(period)))
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-        return itertools.chain((pre,), itertools.repeat(period * max(1, _CHUNK_DIGITS // len(period))))
+        return itertools.chain((pre,), itertools.repeat(repeat))
 
     return chunks
 
@@ -235,10 +280,11 @@ def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[
 def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
     """Chunks of the digits `period()` yields, repeated forever.
 
-    A period that ends within the first chunk is kept and repeated (see
-    `_periodic`); a longer one is made again for each repeat, so no more
-    than one chunk is held whatever the period's length. The first chunk
-    stops at depth `stop`. Chunks are bytes up to base 10, else tuples.
+    A period that ends within the first chunk is kept, and repeated as
+    `_Repeat` chunks (see `_periodic`); a longer one is made again for
+    each repeat, so no more than one chunk is held whatever the period's
+    length. The first chunk stops at depth `stop`. Chunks are bytes up to
+    base 10, else tuples.
     """
     pack = bytes if base <= 10 else tuple
 
@@ -256,17 +302,32 @@ def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., I
     return chunks
 
 
-def _run_chunks(digits: Iterable[int], lengths: Iterable[int]) -> Iterator[bytes]:
-    """Each of `digits` repeated as often as the matching one of `lengths` says.
+def _run_chunks(digits: Iterable[int], lengths: Iterable[int]) -> Iterator[_Repeat]:
+    """Each of `digits` repeated as often as the matching one of `lengths` says, one run chunk a run."""
+    return map(_Repeat, map(_RUN_UNITS.__getitem__, digits), lengths)
 
-    The runs come in bytes pieces of at most _CHUNK_DIGITS digits.
+
+def _pieces(chunks: Iterable[_Chunk]) -> Iterator[Union[bytes, Sequence[int]]]:
+    """The digits of `chunks`, each `_Repeat` written out in pieces of at most _CHUNK_DIGITS digits.
+
+    A unit of up to _CHUNK_DIGITS digits is repeated whole to about that
+    many, and a longer one cut, so the pieces of one repeat are the same
+    few objects again; other chunks pass unchanged.
     """
-    for digit, length in zip(digits, lengths):
-        whole, part = divmod(length, _CHUNK_DIGITS)
-        if whole:
-            yield from itertools.repeat(bytes((digit,)) * _CHUNK_DIGITS, whole)
-        if part:
-            yield bytes((digit,)) * part
+    for chunk in chunks:
+        if chunk.__class__ is not _Repeat:
+            yield chunk
+            continue
+        unit, length = chunk.unit, chunk.length
+        if length <= _CHUNK_DIGITS:  # one piece, as most runs are
+            yield unit * length if len(unit) == 1 else (unit * -(-length // len(unit)))[:length]
+            continue
+        copies = max(1, _CHUNK_DIGITS // len(unit))
+        block = unit * copies
+        cuts = [block[i : i + _CHUNK_DIGITS] for i in range(0, len(block), _CHUNK_DIGITS)]
+        whole, part = divmod(length, len(block))
+        yield from itertools.chain.from_iterable(itertools.repeat(cuts, whole))
+        yield from (block[i : min(i + _CHUNK_DIGITS, part)] for i in range(0, part, _CHUNK_DIGITS))
 
 
 def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
@@ -284,8 +345,8 @@ def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
 def _take(chunks: Iterable[_Chunk], count: int) -> list[int]:
     """The first `count` digits of `chunks` as a list."""
     digits: list[int] = []
-    for chunk in _first(chunks, count):
-        digits += chunk
+    for piece in _pieces(_first(chunks, count)):
+        digits += piece
     return digits
 
 
@@ -617,25 +678,27 @@ def digits_to_text(digits: Iterable[int], base: int) -> str:
 
 
 def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
-    """The digit-text format of the digits of `chunks`, one str per chunk.
+    """The digit-text format of the digits of `chunks`, one str per piece (see `_pieces`).
 
     Joined, the strs are `digits_to_text` of all the digits: up to base
-    10 each ``bytes`` chunk is translated to ASCII digits, and above, the
-    tokens of a chunk are joined by commas, with one more comma before
-    every chunk but the first that holds a digit. A chunk that is the
-    previous chunk object again, as a period's chunks are, is not
+    10 each ``bytes`` piece is translated to ASCII digits, and above, the
+    tokens of a piece are joined by commas, with one more comma before
+    every piece but the first that holds a digit. A piece that is the
+    previous piece object again, as a repeat's pieces are, is not
     rendered again.
     """
+    previous = text = None
     if base <= 10:
-        for chunk in chunks:
-            yield chunk.translate(_DIGIT_TO_CHAR).decode("ascii")
+        for piece in _pieces(chunks):
+            if piece is not previous:
+                previous, text = piece, piece.translate(_DIGIT_TO_CHAR).decode("ascii")
+            yield text
         return
     comma = ""
-    previous = text = None
-    for chunk in chunks:
-        if chunk:
-            if chunk is not previous:
-                previous, text = chunk, ",".join(map(str, chunk))
+    for piece in _pieces(chunks):
+        if piece:
+            if piece is not previous:
+                previous, text = piece, ",".join(map(str, piece))
             yield comma + text
             comma = ","
 

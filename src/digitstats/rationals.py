@@ -8,10 +8,12 @@ correctly rounded decimal with a fixed number of significant digits.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
+from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import index
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -83,5 +85,25 @@ def decimal_str(value: Fraction, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> st
     if coerce_index(digits, "digits") < 1:
         raise DomainError("need at least one significant digit")
     f = value if isinstance(value, Fraction) else Fraction(value)
+    return _decimal_texts((f.numerator,), f.denominator, digits)[0]
+
+
+def _ratio_texts(numerators: Sequence[int], denominator: int) -> list[str]:
+    """`ratio_str` of each numerator over the int `denominator` >= 1, by one gcd each, with no Fraction made."""
+    texts = []
+    for p in numerators:
+        g = gcd(p, denominator)
+        texts.append(str(p // g) if g == denominator else f"{p // g}/{denominator // g}")
+    return texts
+
+
+def _decimal_texts(numerators: Sequence[int], denominator: int, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> list[str]:
+    """`decimal_str` of each numerator over the int `denominator` >= 1, with no Fraction made.
+
+    The pinned context divides the two integers, as exact decimals, and
+    rounds their quotient once, so a quotient left unreduced renders as
+    its reduced form does.
+    """
     context = _decimal_context(digits)
-    return context.to_sci_string(context.divide(Decimal(f.numerator), Decimal(f.denominator)))
+    divide, text = context.divide, context.to_sci_string
+    return [text(divide(p, denominator)) for p in numerators]

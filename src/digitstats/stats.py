@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
 from math import ceil
 from operator import index
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _set
+from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _Repeat, _restore, _set
 from .errors import DomainError, Infeasible
-from .rationals import coerce_index, coerce_rational, decimal_str
+from .rationals import _decimal_texts, _ratio_texts, coerce_index, coerce_rational
 
 __all__ = [
     "PartialStats",
@@ -139,7 +140,9 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     """Statistics of `stream` at each checkpoint depth, in one pass.
 
     If the stream ends before the last checkpoint, the final row reports
-    the statistics at the actual length with ``truncated=True``.
+    the statistics at the actual length with ``truncated=True``. A run or
+    period chunk is counted from its unit (see `_count`), so the cost is
+    O(runs + checkpoints) there, not O(digits).
     """
     marks = [coerce_index(m, "checkpoint", 1) for m in checkpoints]
     if not marks:
@@ -150,8 +153,8 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     base = stream.base
     _probe_memory(8 * base, f"a row of {base} counts")  # a row's `base` pointers, before any digit
 
-    def row(truncated: bool) -> PartialStats:
-        return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
+    def row(truncated: bool) -> PartialStats:  # its counts sum to its depth: no check needed
+        return _restore(PartialStats, (base, depth, tuple(map(counts.__getitem__, range(base))), truncated))
 
     counts: Counter[int] = Counter()
     depth = 0
@@ -159,14 +162,10 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     pending = iter(marks)
     mark = next(pending)
     for chunk in stream._chunks(marks[-1]):
-        start = 0
-        while start < len(chunk):
-            end = min(len(chunk), start + mark - depth)
-            if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
-                for digit in range(base):
-                    counts[digit] += chunk.count(digit, start, end)
-            else:
-                counts.update(chunk[start:end])
+        start, size = 0, len(chunk)
+        while start < size:
+            end = min(size, start + mark - depth)
+            _count(counts, chunk, start, end, base)
             depth += end - start
             start = end
             if depth == mark:
@@ -181,6 +180,38 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
         rows.pop()
     rows.append(row(True))
     return rows
+
+
+def _count(counts: Counter, chunk, start: int, end: int, base: int) -> None:
+    """Add the counts of the digits of ``chunk[start:end]`` to `counts`.
+
+    A `_Repeat` of a unit of P digits is counted from its unit: the tail
+    of the copy that `start` falls in, the whole copies after it times
+    their count, and the head of the copy that `end` falls in, so no
+    more than about 3P digits are read, and one for a run.
+    """
+    if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
+        for digit in range(base):
+            counts[digit] += chunk.count(digit, start, end)
+    elif isinstance(chunk, _Repeat):
+        unit = chunk.unit
+        size = len(unit)
+        if size == 1:
+            counts[unit[0]] += end - start
+            return
+        (first, start), (last, end) = divmod(start, size), divmod(end, size)
+        if first == last:
+            _count(counts, unit, start, end, base)
+            return
+        _count(counts, unit, start, size, base)
+        _count(counts, unit, 0, end, base)
+        if last - first > 1:
+            whole: Counter[int] = Counter()
+            _count(whole, unit, 0, size, base)
+            for digit, count in whole.items():
+                counts[digit] += count * (last - first - 1)
+    else:
+        counts.update(chunk[start:end])
 
 
 def mean_from_frequencies(profile: FrequencyProfile) -> Fraction:
@@ -339,18 +370,36 @@ def stats_table(
     mean ``r`` as exact ``p/q``, then decimal twins ``v<i>_dec`` (only
     with `freq_decimals`) and ``r_dec``, and the truncation flag.
     """
+    header, body = _stats_columns(rows, freq_decimals)
+    return header, list(body)
+
+
+def _stats_columns(rows: Sequence[PartialStats], freq_decimals: bool) -> tuple[list[str], Iterator[list[str]]]:
+    """The header of `stats_table`, and its rows made one at a time, as they are read."""
     base = _stats_base(rows)
     header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
     if freq_decimals:
         header += [f"v{i}_dec" for i in range(base)]
     header += ["r_dec", "truncated"]
-    body = []
-    for row in rows:
-        values = [*row.freqs, row.mean]  # normalized Fractions: str is their p/q form
-        cells = [str(row.n), *map(str, row.counts), *map(str, values)]
-        cells += map(decimal_str, values if freq_decimals else values[-1:])
-        body.append(cells + [str(row.truncated).lower()])
-    return header, body
+
+    def body() -> Iterator[list[str]]:
+        for row in rows:
+            numerators, exact, decimals = _row_cells(row, freq_decimals)
+            yield [str(row.n), *map(str, numerators[:-1]), *exact, *decimals, str(row.truncated).lower()]
+
+    return header, body()
+
+
+def _row_cells(row: PartialStats, freq_decimals: bool = True) -> tuple[list[int], list[str], list[str]]:
+    """A row's counts and sum of digits, then each over ``n`` as exact ``p/q`` and as a decimal twin.
+
+    The cells are built from the integers, so no `Fraction` is made for
+    them; the frequencies' decimal twins are left out without
+    `freq_decimals`. `stats_table` and `stats_to_json` share this path.
+    """
+    numerators = [*row.counts, sum(i * c for i, c in enumerate(row.counts))]
+    decimals = _decimal_texts(numerators if freq_decimals else numerators[-1:], row.n)
+    return numerators, _ratio_texts(numerators, row.n), decimals
 
 
 def _csv_text(lines: Iterable[Sequence[object]]) -> str:
@@ -361,9 +410,12 @@ def _csv_text(lines: Iterable[Sequence[object]]) -> str:
 
 
 def stats_to_csv(rows: Sequence[PartialStats]) -> str:
-    """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag."""
-    header, body = stats_table(rows)
-    return _csv_text([header, *body])
+    """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag.
+
+    Each row is written as it is made, so no table of every cell is held.
+    """
+    header, body = _stats_columns(rows, True)
+    return _csv_text(itertools.chain((header,), body))
 
 
 def stats_to_json(rows: Sequence[PartialStats]) -> str:
@@ -371,12 +423,11 @@ def stats_to_json(rows: Sequence[PartialStats]) -> str:
     base = _stats_base(rows)
     body = []
     for row in rows:
-        values = [*row.freqs, row.mean]  # normalized Fractions: str is their p/q form
-        exact, decimals = list(map(str, values)), list(map(decimal_str, values))
+        numerators, exact, decimals = _row_cells(row)
         body.append(
             {
                 "n": row.n,
-                "counts": list(row.counts),
+                "counts": numerators[:-1],
                 "freqs": exact[:-1],
                 "freqs_decimal": decimals[:-1],
                 "mean": exact[-1],

@@ -34,6 +34,7 @@ from digitstats import (
     uniform_digits,
     with_prefix,
 )
+from digitstats import construct
 from digitstats.simulate import ExperimentConfig
 
 
@@ -155,6 +156,47 @@ def test_criterion_4_constructor_count_bounds():
         failures,
         time.perf_counter() - start,
         5.0,
+    )
+
+
+def test_quota_counts_repeat_with_their_period_so_one_period_bounds_every_depth():
+    # Criterion 4's bound |N_i - n*tau_i| <= 2, checked over one period m, holds for every n:
+    # the quota digits repeat their first m with every deficit back at 0, so
+    # N_i(j*m + t) = N_i(t) + j*m*tau_i. Counted here at depths near 10**15.
+    start = time.perf_counter()
+    failures = []
+    profiles = [
+        FrequencyProfile(3, (F(1, 3), F(1, 3), F(1, 3))),
+        FrequencyProfile(3, (F(7, 60), F(13, 60), F(2, 3))),
+        FrequencyProfile(3, (F(0), F(29, 100), F(71, 100))),
+        FrequencyProfile(12, tuple(F(k, 66) for k in range(12))),
+    ]
+    for profile in profiles:
+        scale = lcm(*(t.denominator for t in profile.tau))
+        counts, m = [0] * profile.base, 0
+        for m, digit in enumerate(quota_construct(profile, 100 * scale), start=1):
+            counts[digit] += 1
+            if m % scale == 0 and all(c == m * t for c, t in zip(counts, profile.tau)):
+                break
+        else:
+            failures.append(f"no period within {100 * scale} digits for tau={profile.tau}")
+            continue
+        j = 10**15 // m
+        marks = list(range(1, m + 1)) + [j * m + t for t in range(m + 1)]
+        rows = running_stats(construct._quota_stream(profile, marks[-1]), marks)
+        near, far = rows[:m], rows[m:]
+        if any(abs(c - row.n * t) > 2 for row in near for c, t in zip(row.counts, profile.tau)):
+            failures.append(f"some |N_i - n*tau_i| > 2 within one period for tau={profile.tau}")
+        for t, row in enumerate(far):
+            at_t = rows[t - 1].counts if t else (0,) * profile.base
+            if list(row.counts) != [c + j * m * tau for c, tau in zip(at_t, profile.tau)]:
+                failures.append(f"counts at {j}*{m} + {t} are not those at {t} plus j*m*tau")
+                break
+    _finish(
+        "4 (every n): quota counts at j*m + t are those at t plus j*m*tau, at depths near 1e15",
+        failures,
+        time.perf_counter() - start,
+        1.0,
     )
 
 

@@ -491,7 +491,7 @@ def test_only_core_makes_cuts_or_bounds_chunks():
 
     for module in (construct, cli):
         names = vars(module)
-        assert not {"_first", "_take", "_periodic", "_Chunk"} & names.keys(), module.__name__
+        assert not {"_first", "_take", "_periodic", "_pieces", "_Repeat", "_Chunk"} & names.keys(), module.__name__
         assert core not in names.values(), module.__name__
 
 

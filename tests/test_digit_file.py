@@ -211,6 +211,25 @@ def test_stdin_that_is_not_utf8_is_named_under_any_text_encoding(encoding):
     assert result.stderr == b"error: domain: invalid digit character b'\\xff': the input is not UTF-8\n"
 
 
+@pytest.mark.parametrize("base, text, row", [
+    (3, b"0120", b"4,2,1,1,1/2,1/4,1/4,3/4,"),
+    (3, b"0 1\n2 0\n" * 50000, b"200000,100000,50000,50000,1/2,1/4,1/4,3/4,"),
+    (12, b"11,0\n3 10,2", b"5,1,0,1,1,0,0,0,0,0,0,1,1,"),
+], ids=["one row", "long", "base 12"])
+def test_stdin_as_a_digit_file_reads_as_stdin_does(base, text, row):
+    # a pipe yields its bytes once, so --digits-file /dev/stdin must read it once, as --digits-file - does
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    outs = []
+    for path in ("-", "/dev/stdin"):
+        argv = ["stats", "--base", str(base), "--digits-file", path, "--format", "csv"]
+        result = subprocess.run([sys.executable, "-m", "digitstats.cli", *argv], input=text,
+                                env=env, capture_output=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, b""), path
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].split(b"\n")[1].startswith(row)
+
+
 def test_text_to_digits_names_a_lone_surrogate():
     # surrogateescape'd stdin holds lone surrogates; they are named, not called non-UTF-8
     with pytest.raises(DomainError, match=r"invalid digit character '\\udcff'$"):

@@ -1,6 +1,7 @@
 """Tests for running statistics, the frequency/mean algebra, and verdicts."""
 
 import decimal
+import itertools
 import json
 import random
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from digitstats import core
+from digitstats import construct, core, stats
 from digitstats.rationals import decimal_str, ratio_str
 from digitstats.stats import stats_table
 from digitstats import (
@@ -20,6 +21,7 @@ from digitstats import (
     Oscillating,
     PartialStats,
     Undetermined,
+    block_boundaries,
     classify_limit,
     construct_mean_without_frequency,
     digits_to_text,
@@ -29,6 +31,8 @@ from digitstats import (
     geometric_checkpoints,
     mean_from_frequencies,
     no_mean_example,
+    no_mean_one_run_ends,
+    no_mean_zero_run_ends,
     running_stats,
     solve_ternary_system,
     stats_to_csv,
@@ -494,3 +498,161 @@ def test_decimal_renderings_ignore_the_callers_context():
         ctx.prec, ctx.rounding, ctx.capitals, ctx.Emin = 3, decimal.ROUND_DOWN, 0, -5
         ctx.traps[decimal.Inexact] = True
         assert [decimal_str(Fraction(2, 3)), decimal_str(Fraction(1, 7 * 10**9))] == expected
+
+
+def digit_by_digit_stats(digits, base, marks):
+    """Reference: (n, counts, truncated) of each row, one digit at a time, as a loop over a list does."""
+    counts, rows, pending = [0] * base, [], list(marks)
+    for depth, digit in enumerate(digits, 1):
+        counts[digit] += 1
+        if pending and depth == pending[0]:
+            rows.append((depth, tuple(counts), False))
+            pending.pop(0)
+            if not pending:
+                return rows
+    if rows and rows[-1][0] == len(digits):
+        rows.pop()
+    return rows + [(len(digits), tuple(counts), True)]
+
+
+def random_chunks(rng, base):
+    """Chunks of every kind, mixed: literal bytes or tuples, runs and periods, with the digits they hold."""
+    pack = bytes if base <= 10 else tuple
+    chunks, digits = [], []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.choice(["literal", "run", "period"])
+        unit = [rng.randrange(base) for _ in range(1 if kind == "run" else rng.randint(1, 9))]
+        if kind == "literal":
+            chunks.append(pack(unit))
+            digits += unit
+        else:
+            length = rng.choice([0, 1, len(unit), rng.randint(0, 40)])
+            chunks.append(core._Repeat(pack(unit), length))
+            digits += (unit * (length // len(unit) + 1))[:length]
+    return chunks, digits
+
+
+def chunk_stream(base, chunks, digits):
+    return DigitStream._trusted(base, len(digits), lambda stop=None: iter(chunks))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_repeat_chunks_match_the_digit_by_digit_counter(monkeypatch, chunk):
+    # through with_prefix and _head, with checkpoints inside runs, at run ends, across
+    # period boundaries and past the end; iteration, take and digit text write the same digits
+    monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
+    rng = random.Random(chunk)
+    for _ in range(150):
+        base = rng.choice([2, 3, 10, 11, 257])
+        chunks, digits = random_chunks(rng, base)
+        prefix = [rng.randrange(base) for _ in range(rng.randint(0, 3))]
+        cases = [(chunk_stream(base, chunks, digits), digits)]
+        cases.append((with_prefix(prefix, chunk_stream(base, chunks, digits)), prefix + digits))
+        cut = rng.randint(0, len(digits) + 2)
+        cases.append((chunk_stream(base, chunks, digits)._head(cut), digits[:cut]))
+        edges = list(itertools.accumulate(len(c) for c in chunks))
+        for stream, expected in cases:
+            candidates = {e + d for e in edges for d in (-1, 0, 1)} | set(rng.sample(range(1, 60), 5))
+            marks = sorted(m for m in candidates if 1 <= m <= len(expected))
+            marks += [len(expected) + rng.randint(1, 3)]
+            if expected:
+                rows = running_stats(stream, marks)
+                assert [(r.n, r.counts, r.truncated) for r in rows] == digit_by_digit_stats(expected, base, marks)
+            assert list(stream) == stream.take(len(expected) + 1) == expected
+            assert "".join(core._digit_text(stream._chunks(), base)) == digits_to_text(expected, base)
+        for piece in core._pieces(chunks):
+            assert len(piece) <= max(chunk, *(len(c) for c in chunks if not isinstance(c, core._Repeat)), 0)
+        for c in chunks:  # a slice of a repeat is a shorter repeat of the same digits
+            if isinstance(c, core._Repeat):
+                start, stop = sorted(rng.randint(-2, len(c) + 2) for _ in range(2))
+                part = c[start:stop]
+                whole = list(itertools.chain.from_iterable(core._pieces([c])))
+                assert isinstance(part, core._Repeat)
+                assert list(itertools.chain.from_iterable(core._pieces([part]))) == whole[start:stop]
+
+
+def test_every_block_count_up_to_300_matches_the_enumerated_stream():
+    spec, stream = construct_mean_without_frequency(1, "1/5", "2/5", "1/20", 300)
+    digits = [d for row in spec.rows for d, run in enumerate(row) for _ in range(run)]
+    marks = sorted(set(block_boundaries(spec)) - {0})
+    rows = running_stats(stream, marks)
+    assert [(r.n, r.counts, r.truncated) for r in rows] == digit_by_digit_stats(digits, 3, marks)
+    assert len(rows) == len(marks) and marks[-1] == stream.length == len(digits)
+
+
+def test_a_short_period_counts_at_depth_10_to_the_18():
+    start = time.perf_counter()
+    whole, part = divmod(10**18, 6)  # 1/7 = 0.(142857)
+    [row] = running_stats(DigitStream.from_expansion(expand_rational(1, 7, 10)), [10**18])
+    counts = [0] * 10
+    for digit in (1, 4, 2, 8, 5, 7):
+        counts[digit] = whole
+    for digit in (1, 4, 2, 8):  # the first `part` digits of the period
+        counts[digit] += 1
+    assert part == 4 and row == PartialStats(10, 10**18, counts)
+    assert row.mean == Fraction(27 * whole + 15, 10**18)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_no_mean_stream_counts_at_depth_10_to_the_12():
+    start = time.perf_counter()
+    depth = 10**12
+    zero_ends, one_ends = no_mean_zero_run_ends(depth), no_mean_one_run_ends(depth)
+    marks = sorted(zero_ends + one_ends) + [depth]
+    by_depth = {row.n: row for row in running_stats(construct._no_mean_stream(depth), marks)}
+    for m, end in enumerate(zero_ends):  # 2^(m+1) - 1 zeros, then 2^m - 1 ones
+        assert by_depth[end].counts == (2 ** (m + 1) - 1, 2**m - 1)
+    for m, end in enumerate(one_ends):
+        assert by_depth[end].counts == (2 ** (m + 1) - 1, 2 ** (m + 1) - 1)
+        assert by_depth[end].mean == Fraction(1, 2)
+    assert sum(by_depth[depth].counts) == depth and not by_depth[depth].truncated
+    assert time.perf_counter() - start < 1.0
+
+
+def reference_row_payload(row):
+    """A JSON row as the Fraction path built it: one Fraction per frequency and for the mean."""
+    values = [*row.freqs, row.mean]
+    exact, decimals = list(map(str, values)), list(map(decimal_str, values))
+    return {
+        "n": row.n,
+        "counts": list(row.counts),
+        "freqs": exact[:-1],
+        "freqs_decimal": decimals[:-1],
+        "mean": exact[-1],
+        "mean_decimal": decimals[-1],
+        "truncated": row.truncated,
+    }
+
+
+def random_rows(rng, base):
+    rows = []
+    for _ in range(12):
+        n = rng.choice([1, 2, 7, 10**6, rng.randint(1, 10**40), 10**40])
+        counts = [0] * base
+        if rng.random() < 0.3:
+            counts[rng.randrange(base)] = n  # one count equal to n, every other one 0
+        else:
+            for _ in range(rng.randint(1, 4)):
+                counts[rng.randrange(base)] += rng.randint(0, n)
+            total = sum(counts) or 1
+            counts = [c * n // total for c in counts]
+            counts[rng.randrange(base)] += n - sum(counts)
+        rows.append(PartialStats(base, n, counts, rng.random() < 0.2))
+    return rows
+
+
+@pytest.mark.parametrize("base", [2, 3, 11, 257])
+def test_integer_built_cells_match_the_fraction_path(base):
+    rng = random.Random(base)
+    for _ in range(10):
+        rows = random_rows(rng, base)
+        for row in rows:
+            numerators, exact, decimals = stats._row_cells(row)
+            values = [Fraction(c, row.n) for c in numerators]
+            assert values == [*row.freqs, row.mean]
+            assert exact == [str(v) for v in values]
+            assert decimals == [decimal_str(v) for v in values]
+        payload = {"base": base, "rows": [reference_row_payload(row) for row in rows]}
+        assert stats_to_json(rows) == json.dumps(payload, indent=2) + "\n"
+        for freq_decimals in (True, False):
+            assert stats_table(rows, freq_decimals) == reference_stats_table(rows, freq_decimals)
