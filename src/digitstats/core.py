@@ -45,9 +45,10 @@ class _Repeat:
     """A chunk of the first `length` digits of `unit` repeated: a run when `unit` is one digit long.
 
     `unit` is a non-empty bytes of digit values, or a tuple of ints above
-    base 10. Its ``len()`` is `length`, and a slice is a shorter repeat,
-    so a chunk's digits cost nothing until they are read: counting reads
-    the unit (``stats.running_stats``), and `_pieces` writes it out.
+    base 10. Its ``len()`` is `length`, and a prefix cut (``[:count]``,
+    the only cut `_first` makes) is a shorter repeat, so a chunk's digits
+    cost nothing until they are read: counting reads the unit
+    (``stats.running_stats``), and `_pieces` writes it out.
     """
 
     __slots__ = ("unit", "length")
@@ -59,10 +60,9 @@ class _Repeat:
         return self.length
 
     def __getitem__(self, cut: slice) -> "_Repeat":
-        start, stop, _ = cut.indices(self.length)
-        shift = start % len(self.unit)
-        unit = self.unit[shift:] + self.unit[:shift] if shift else self.unit
-        return _Repeat(unit, max(stop - start, 0))
+        if cut.start or cut.step not in (None, 1):
+            raise ValueError("a repeat is cut only to a prefix")
+        return _Repeat(self.unit, cut.indices(self.length)[1])
 
 
 # A stream's digits as counting reads them: a bytes of digit values, ints, or a repeat.
@@ -212,14 +212,24 @@ class DigitStream:
         and nothing of it is kept: each ``iter()`` reopens the file, and
         raises DomainError if its size or modification time has changed.
         A path that opens as no regular file, such as a pipe or
-        ``/dev/stdin``, yields its bytes once, so it is read whole and
-        kept, as :meth:`from_text` keeps a text. OSError from opening or
-        reading the file propagates.
+        ``/dev/stdin``, yields its bytes once, so each piece read is
+        checked and kept, as :meth:`from_text` keeps a text: a fault stops
+        the reading at the piece that holds it, and a later pass replays
+        the pieces kept. OSError from opening or reading the file
+        propagates.
         """
         b = _check_base(base)
         with open(path, "rb") as file:
             if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-                return cls.from_text(file.read(), b)
+                kept: list[bytes] = []
+
+                def first_pass() -> Iterator[bytes]:
+                    for piece in iter(functools.partial(file.read, _CHUNK_BYTES), b""):
+                        kept.append(piece)
+                        yield piece
+
+                passes = iter((first_pass(),))
+                return _text_stream(lambda: next(passes, kept), b)
         stamp: list[tuple[int, int]] = []
 
         def raw() -> Iterator[bytes]:
@@ -320,10 +330,9 @@ def _pieces(chunks: Iterable[_Chunk]) -> Iterator[Union[bytes, Sequence[int]]]:
             continue
         unit, length = chunk.unit, chunk.length
         if length <= _CHUNK_DIGITS:  # one piece, as most runs are
-            yield unit * length if len(unit) == 1 else (unit * -(-length // len(unit)))[:length]
+            yield (unit * -(-length // len(unit)))[:length]
             continue
-        copies = max(1, _CHUNK_DIGITS // len(unit))
-        block = unit * copies
+        block = unit * max(1, _CHUNK_DIGITS // len(unit))
         cuts = [block[i : i + _CHUNK_DIGITS] for i in range(0, len(block), _CHUNK_DIGITS)]
         whole, part = divmod(length, len(block))
         yield from itertools.chain.from_iterable(itertools.repeat(cuts, whole))
@@ -335,11 +344,12 @@ def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
     if count <= 0:
         return
     for chunk in chunks:
-        if len(chunk) >= count:
+        size = len(chunk)  # once: a repeat's len() is a Python call
+        if size >= count:
             yield chunk[:count]
             return
         yield chunk
-        count -= len(chunk)
+        count -= size
 
 
 def _take(chunks: Iterable[_Chunk], count: int) -> list[int]:
@@ -681,20 +691,23 @@ def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
     """The digit-text format of the digits of `chunks`, one str per piece (see `_pieces`).
 
     Joined, the strs are `digits_to_text` of all the digits: up to base
-    10 each ``bytes`` piece is translated to ASCII digits, and above, the
-    tokens of a piece are joined by commas, with one more comma before
-    every piece but the first that holds a digit. A piece that is the
-    previous piece object again, as a repeat's pieces are, is not
-    rendered again.
+    10 each ``bytes`` piece is translated to ASCII digits, and a repeat
+    of one piece is its unit's text repeated; above, the tokens of a
+    piece are joined by commas, with one more comma before every piece
+    but the first that holds a digit, and a piece that is the previous
+    piece object again, as a repeat's pieces are, is not rendered again.
     """
-    previous = text = None
     if base <= 10:
-        for piece in _pieces(chunks):
-            if piece is not previous:
-                previous, text = piece, piece.translate(_DIGIT_TO_CHAR).decode("ascii")
-            yield text
+        for chunk in chunks:
+            if chunk.__class__ is _Repeat and chunk.length <= _CHUNK_DIGITS:  # one piece, as most runs are
+                unit, length = chunk.unit.translate(_DIGIT_TO_CHAR).decode("ascii"), chunk.length  # a char a digit
+                yield (unit * -(-length // len(unit)))[:length]
+            else:
+                for piece in _pieces((chunk,)):
+                    yield piece.translate(_DIGIT_TO_CHAR).decode("ascii")
         return
     comma = ""
+    previous = text = None
     for piece in _pieces(chunks):
         if piece:
             if piece is not previous:

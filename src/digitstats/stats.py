@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from collections import Counter
 from fractions import Fraction
 from math import ceil
 from operator import index
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _Repeat, _restore, _set
+from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _Repeat, _set
 from .errors import DomainError, Infeasible
 from .rationals import _decimal_texts, _ratio_texts, coerce_index, coerce_rational
 
@@ -153,8 +152,8 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     base = stream.base
     _probe_memory(8 * base, f"a row of {base} counts")  # a row's `base` pointers, before any digit
 
-    def row(truncated: bool) -> PartialStats:  # its counts sum to its depth: no check needed
-        return _restore(PartialStats, (base, depth, tuple(map(counts.__getitem__, range(base))), truncated))
+    def row(truncated: bool) -> PartialStats:
+        return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
 
     counts: Counter[int] = Counter()
     depth = 0
@@ -370,24 +369,16 @@ def stats_table(
     mean ``r`` as exact ``p/q``, then decimal twins ``v<i>_dec`` (only
     with `freq_decimals`) and ``r_dec``, and the truncation flag.
     """
-    header, body = _stats_columns(rows, freq_decimals)
-    return header, list(body)
-
-
-def _stats_columns(rows: Sequence[PartialStats], freq_decimals: bool) -> tuple[list[str], Iterator[list[str]]]:
-    """The header of `stats_table`, and its rows made one at a time, as they are read."""
     base = _stats_base(rows)
     header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
     if freq_decimals:
         header += [f"v{i}_dec" for i in range(base)]
     header += ["r_dec", "truncated"]
-
-    def body() -> Iterator[list[str]]:
-        for row in rows:
-            numerators, exact, decimals = _row_cells(row, freq_decimals)
-            yield [str(row.n), *map(str, numerators[:-1]), *exact, *decimals, str(row.truncated).lower()]
-
-    return header, body()
+    body = []
+    for row in rows:
+        numerators, exact, decimals = _row_cells(row, freq_decimals)
+        body.append([str(row.n), *map(str, numerators[:-1]), *exact, *decimals, str(row.truncated).lower()])
+    return header, body
 
 
 def _row_cells(row: PartialStats, freq_decimals: bool = True) -> tuple[list[int], list[str], list[str]]:
@@ -410,12 +401,9 @@ def _csv_text(lines: Iterable[Sequence[object]]) -> str:
 
 
 def stats_to_csv(rows: Sequence[PartialStats]) -> str:
-    """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag.
-
-    Each row is written as it is made, so no table of every cell is held.
-    """
-    header, body = _stats_columns(rows, True)
-    return _csv_text(itertools.chain((header,), body))
+    """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag."""
+    header, body = stats_table(rows)
+    return _csv_text([header, *body])
 
 
 def stats_to_json(rows: Sequence[PartialStats]) -> str:

@@ -230,6 +230,26 @@ def test_stdin_as_a_digit_file_reads_as_stdin_does(base, text, row):
     assert outs[0].split(b"\n")[1].startswith(row)
 
 
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="opens a pipe by its /dev/fd path")
+@pytest.mark.parametrize("base, text", [(3, b"0120 2\n1"), (12, b"11,0\n3 10,2 7")])
+def test_a_pipe_is_read_in_checked_pieces_and_replayed(monkeypatch, base, text):
+    # each piece is checked as it arrives: a fault stops the reading there, and a good pipe re-reads
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3)
+    for data, fault in ((text, None), (b"01x" + b"0" * 60000, "'x'")):  # fits a pipe's 64 KiB buffer
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        with open(read, "rb", closefd=True) as pipe:
+            if fault is None:
+                stream = DigitStream.from_file(f"/dev/fd/{pipe.fileno()}", base)
+                assert list(stream) == stream.take(99) == list(DigitStream.from_text(text, base))
+                assert running_stats(stream, [stream.length])[0].n == stream.length
+            else:
+                with pytest.raises(DomainError, match=f"invalid digit character {fault}$"):
+                    DigitStream.from_file(f"/dev/fd/{pipe.fileno()}", base)
+                assert len(pipe.read()) >= len(data) - io.DEFAULT_BUFFER_SIZE  # one read buffer at most
+
+
 def test_text_to_digits_names_a_lone_surrogate():
     # surrogateescape'd stdin holds lone surrogates; they are named, not called non-UTF-8
     with pytest.raises(DomainError, match=r"invalid digit character '\\udcff'$"):

@@ -562,13 +562,15 @@ def test_repeat_chunks_match_the_digit_by_digit_counter(monkeypatch, chunk):
             assert "".join(core._digit_text(stream._chunks(), base)) == digits_to_text(expected, base)
         for piece in core._pieces(chunks):
             assert len(piece) <= max(chunk, *(len(c) for c in chunks if not isinstance(c, core._Repeat)), 0)
-        for c in chunks:  # a slice of a repeat is a shorter repeat of the same digits
+        for c in chunks:  # a prefix of a repeat is a shorter repeat of the same digits; no other cut is made
             if isinstance(c, core._Repeat):
-                start, stop = sorted(rng.randint(-2, len(c) + 2) for _ in range(2))
-                part = c[start:stop]
+                stop = rng.randint(0, len(c) + 2)
+                part = c[:stop]
                 whole = list(itertools.chain.from_iterable(core._pieces([c])))
                 assert isinstance(part, core._Repeat)
-                assert list(itertools.chain.from_iterable(core._pieces([part]))) == whole[start:stop]
+                assert list(itertools.chain.from_iterable(core._pieces([part]))) == whole[:stop]
+                with pytest.raises(ValueError):
+                    c[1:]
 
 
 def test_every_block_count_up_to_300_matches_the_enumerated_stream():
