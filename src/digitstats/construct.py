@@ -311,13 +311,14 @@ class BlockSpec(_Record):
         ratios = {}  # alpha -> the (numerator, denominator) of alpha, beta, gamma
         rows = []
         for k, alpha in enumerate(alphas, start=1):
-            if alpha not in ratios:
+            ratio = ratios.get(alpha)  # one hash of alpha per block that repeats it
+            if ratio is None:
                 beta = 2 - 2 * alpha - theta
                 gamma = alpha - 1 + theta
                 if beta < 0 or gamma < 0 or alpha < 0:
                     raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
-                ratios[alpha] = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
-            (ap, aq), (bp, bq), (gp, gq) = ratios[alpha]
+                ratio = ratios[alpha] = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
+            (ap, aq), (bp, bq), (gp, gq) = ratio
             rows.append((k * ap // aq, k * bp // bq, k * gp // gq))
         _set(self, "theta", theta)
         _set(self, "alphas", alphas)

@@ -33,7 +33,7 @@ from .core import _Record, _set
 from .errors import DomainError
 from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
 from .rationals import decimal_str, ratio_str
-from .stats import PartialStats
+from .stats import PartialStats, _count_bytes
 
 __all__ = [
     "RNG_ID",
@@ -93,6 +93,12 @@ LANES = 1024
 # byte order) that picks each lane's low word, first lane first: big-endian
 # bytes start with the last lane's high word, so the stride runs backwards.
 _LOW_WORD_STEP = 2 if sys.byteorder == "little" else -2
+# An experiment of fewer draws than this in all, trials * ceil(depth / k), runs
+# serially whatever `workers` says: starting a process pool costs about as much
+# as the whole run. Two workers broke even at 7e4 to 3e5 draws (0.05-0.09 s of
+# serial work) in bases 2, 3, 10 and 2**64 on a 2-CPU host, Python 3.11, while
+# in digits the break-even spread from 3e5 (base 2**64) to 4.5e6 (base 2).
+_SERIAL_DRAWS = 100_000
 # uniform_digit_trial counts digits one byte per lane and keeps one count per
 # digit value, so it refuses larger bases.
 MAX_COUNTED_BASE = 256
@@ -211,7 +217,7 @@ def uniform_digit_trial(base: int, depth: int, seed: int) -> PartialStats:
     for lanes, _, kept, rounds in _digit_blocks(base, depth, seed):
         # a digit below 256 is the first byte of its lane, little-endian
         block = b"".join(digits.to_bytes(16 * lanes, "little")[::16] for digits in rounds)
-        counts = [count + block.count(d) for d, count in enumerate(counts)]
+        _count_bytes(counts, block, 0, len(block), base)
         # rejected draws and digits past `depth` were counted as zeros
         counts[0] -= len(block) - kept
     return PartialStats(base, depth, tuple(counts))
@@ -286,13 +292,16 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
     The summary is a pure function of (cfg, band): per-trial seeds depend
     only on (master_seed, index), and aggregation reads results in index
     order, so any `workers` count produces the identical summary. At most
-    one worker process runs per trial and per CPU.
+    one worker process runs per trial and per CPU, and none for a run of
+    fewer than _SERIAL_DRAWS draws, which costs less than starting them.
     """
     band = coerce_rational(band)
     if band < 0:
         raise DomainError(f"band must be >= 0, got {band}")
     workers = coerce_index(workers, "workers", 1)
     workers = min(workers, cfg.trials, os.cpu_count() or 1)
+    if cfg.trials * -(-cfg.depth // _digits_per_draw(cfg.base)) < _SERIAL_DRAWS:
+        workers = 1
     # the per-trial means are the output: their list is made first, so that
     # more trials than memory holds fail at once, not after hours of trials
     r_values: list = [None] * cfg.trials

@@ -16,6 +16,7 @@ import io
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from operator import index
 from typing import Iterable, Sequence, Union
@@ -190,8 +191,7 @@ def _count(counts: Counter, chunk, start: int, end: int, base: int) -> None:
     more than about 3P digits are read, and one for a run.
     """
     if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
-        for digit in range(base):
-            counts[digit] += chunk.count(digit, start, end)
+        _count_bytes(counts, chunk, start, end, base)
     elif isinstance(chunk, _Repeat):
         unit = chunk.unit
         size = len(unit)
@@ -211,6 +211,48 @@ def _count(counts: Counter, chunk, start: int, end: int, base: int) -> None:
                 counts[digit] += count * (last - first - 1)
     else:
         counts.update(chunk[start:end])
+
+
+# Digits per bit-plane pass of `_count_bytes`; a shorter segment is counted by `bytes.count`.
+_PIECE = 1 << 14
+
+
+@cache
+def _planes() -> tuple[bytes, tuple[int, ...]]:
+    """(ONE_HOT, PLANES) for `_count_bytes`, built on first use, not at import.
+
+    ONE_HOT is a `bytes.translate` table that sends digit d < 8 to the byte
+    1 << d and every other byte to 0; PLANES[d] is an int of _PIECE bytes
+    with bit d set in each.
+    """
+    one_hot = bytes(1 << d if d < 8 else 0 for d in range(256))
+    return one_hot, tuple(int.from_bytes(bytes((1 << d,)) * _PIECE, "little") for d in range(8))
+
+
+def _count_bytes(counts, digits: bytes, start: int, end: int, base: int) -> None:
+    """Add the count of each digit value below `base` in ``digits[start:end]`` to `counts`.
+
+    A segment of at least _PIECE digits is counted by bit planes, a piece
+    at a time: one `translate` makes each digit d < 8 the byte 1 << d, one
+    `int.from_bytes` reads the piece, and N_d is the `bit_count` of its AND
+    with plane d; digits from 8 up keep `bytes.count`. A shorter segment,
+    where the planes' fixed cost loses, and base 2, whose long runs
+    `bytes.count` predicts well, are counted with `bytes.count` alone.
+    Each value is counted on its own, so a byte not below `base` is in no
+    count and leaves the counts short of the segment's length.
+    """
+    if base == 2 or end - start < _PIECE:
+        for digit in range(base):
+            counts[digit] += digits.count(digit, start, end)
+        return
+    one_hot, planes = _planes()
+    for at in range(start, end, _PIECE):
+        piece = digits[at : min(end, at + _PIECE)]
+        bits = int.from_bytes(piece.translate(one_hot), "little")
+        for digit, plane in enumerate(planes[:base]):
+            counts[digit] += (bits & plane).bit_count()
+        for digit in range(8, base):
+            counts[digit] += piece.count(digit)
 
 
 def mean_from_frequencies(profile: FrequencyProfile) -> Fraction:

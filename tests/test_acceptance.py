@@ -309,7 +309,7 @@ def test_criterion_7_no_mean_example():
     )
 
 
-def test_criterion_8_monte_carlo():
+def test_criterion_8_monte_carlo(monkeypatch):
     start = time.perf_counter()
     failures = []
     cfg = ExperimentConfig(base=3, depth=10**4, trials=200, master_seed=42)
@@ -322,6 +322,8 @@ def test_criterion_8_monte_carlo():
     rerun = normality_experiment(cfg, band)
     if rerun != summary or summary_to_json(rerun) != summary_to_json(summary):
         failures.append("identical seed did not reproduce bit-identical results")
+    # a run this small takes the serial path whatever `workers` says; compare a real pool
+    monkeypatch.setattr("digitstats.simulate._SERIAL_DRAWS", 0)
     parallel = normality_experiment(cfg, band, workers=4)
     if parallel != summary:
         failures.append("parallel execution differs from serial")

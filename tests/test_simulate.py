@@ -20,6 +20,7 @@ from digitstats import (
     uniform_digit_trial,
     uniform_digits,
 )
+from digitstats import simulate
 from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64, MAX_COUNTED_BASE, _digits_per_draw, _trial_mean
 
 
@@ -221,7 +222,8 @@ def test_single_trial_summary():
     assert summary.variance == 0
 
 
-def test_serial_and_parallel_agree():
+def test_serial_and_parallel_agree(monkeypatch):
+    monkeypatch.setattr("digitstats.simulate._SERIAL_DRAWS", 0)  # a real pool, though the run is small
     cfg = ExperimentConfig(base=3, depth=400, trials=12, master_seed=21)
     serial = normality_experiment(cfg, Fraction(33, 1000), workers=1)
     parallel = normality_experiment(cfg, Fraction(33, 1000), workers=3)
@@ -280,6 +282,7 @@ class RecordingExecutor:
     [(1000, 3, 4, [3]), (1000, 50, 4, [4]), (3, 50, 8, [3]), (1000, 50, None, []), (2, 1, 8, [])],
 )
 def test_workers_capped_by_trials_and_cpus(monkeypatch, workers, trials, cpus, built):
+    monkeypatch.setattr("digitstats.simulate._SERIAL_DRAWS", 0)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr("digitstats.simulate.os.cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingExecutor, "built", [])
@@ -287,3 +290,22 @@ def test_workers_capped_by_trials_and_cpus(monkeypatch, workers, trials, cpus, b
     summary = normality_experiment(cfg, Fraction(1, 10), workers=workers)
     assert RecordingExecutor.built == built
     assert summary == normality_experiment(cfg, Fraction(1, 10))
+
+
+class RefusedExecutor:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("base,depth,trials", [(3, 20, 4), (3, 10**4, 200), (2**64, 100, 50)])
+def test_a_run_smaller_than_a_pool_start_runs_serially(monkeypatch, base, depth, trials):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RefusedExecutor)
+    monkeypatch.setattr("digitstats.simulate.os.cpu_count", lambda: 8)
+    cfg = ExperimentConfig(base=base, depth=depth, trials=trials, master_seed=3)
+    draws = trials * -(-depth // _digits_per_draw(base))
+    assert draws < simulate._SERIAL_DRAWS
+    assert normality_experiment(cfg, Fraction(1, 10), workers=2) == normality_experiment(cfg, Fraction(1, 10))
+    # a run of exactly _SERIAL_DRAWS draws asks for the pool
+    monkeypatch.setattr(simulate, "_SERIAL_DRAWS", draws)
+    with pytest.raises(AssertionError, match="process pool"):
+        normality_experiment(cfg, Fraction(1, 10), workers=2)

@@ -611,6 +611,58 @@ def test_the_no_mean_stream_counts_at_depth_10_to_the_12():
     assert time.perf_counter() - start < 1.0
 
 
+def bytes_count_rows(digits: bytes, base, marks):
+    """Reference: (n, counts, truncated) of each row, each count one `bytes.count` over the prefix."""
+    served = [m for m in marks if m <= len(digits)]
+    rows = [(m, tuple(digits.count(d, 0, m) for d in range(base)), False) for m in served]
+    if len(served) < len(marks):
+        if served and served[-1] == len(digits):
+            rows.pop()
+        rows.append((len(digits), tuple(digits.count(d) for d in range(base)), True))
+    return rows
+
+
+def long_literals(rng, base, length):
+    """Random digits, and runs of up to two pieces, `length` digits each, as digit values."""
+    digits = rng.randbytes(length).translate(bytes(b % base for b in range(256)))
+    runs = bytearray()
+    while len(runs) < length:
+        runs += bytes((rng.randrange(base),)) * rng.randint(1, 2 * stats._PIECE)
+    return digits, bytes(runs[:length])
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_long_literal_segments_match_a_bytes_count_oracle(monkeypatch, base):
+    # segments of one piece minus 1, one piece, one piece plus 1 and several pieces plus a
+    # remainder, cut by checkpoints inside pieces, count as `bytes.count` counts them
+    plane_runs = []
+    monkeypatch.setattr(stats, "_planes", lambda real=stats._planes: plane_runs.append(1) or real())
+    piece, rng = stats._PIECE, random.Random(base)
+    for length in (piece - 1, piece, piece + 1, 3 * piece + 123):
+        for digits in long_literals(rng, base, length):
+            inside = {rng.randint(1, length), piece // 2 + 1, piece + piece // 3, 2 * piece + 5, length}
+            for marks in ([length], [1, length], sorted(m for m in inside if m <= length), [length - 1, length + 7]):
+                expected = bytes_count_rows(digits, base, marks)
+                for stream in (
+                    DigitStream.from_digits(list(digits), base),
+                    DigitStream.from_text(digits_to_text(list(digits), base), base),
+                ):
+                    rows = running_stats(stream, marks)
+                    assert [(r.n, r.counts, r.truncated) for r in rows] == expected, (length, marks)
+    assert bool(plane_runs) == (base != 2)  # base 2 keeps `bytes.count`
+
+
+@pytest.mark.parametrize("base,bad", [(3, 5), (8, 8), (9, 9), (10, 10), (10, 255)])
+def test_a_byte_not_below_the_base_in_a_long_literal_chunk_fails_the_row_check(base, bad):
+    # no count takes the byte, so the counts fall short of the depth and the row is refused
+    digits = bytearray(random.Random(bad).randbytes(3 * stats._PIECE).translate(bytes(b % base for b in range(256))))
+    digits[stats._PIECE + 7] = bad
+    stream = DigitStream._trusted(base, len(digits), lambda stop=None: iter([bytes(digits)]))
+    with pytest.raises(DomainError, match="do not sum to depth"):
+        running_stats(stream, [len(digits)])
+    assert running_stats(stream, [stats._PIECE + 7])[0].n == stats._PIECE + 7  # the prefix before it counts
+
+
 def reference_row_payload(row):
     """A JSON row as the Fraction path built it: one Fraction per frequency and for the mean."""
     values = [*row.freqs, row.mean]
