@@ -29,10 +29,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, repeat
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterator
 
-from .core import DigitStream, _Record, _repeated, _run_chunks, _set
+from .core import DigitStream, _probe_memory, _Record, _repeated, _run_chunks, _set
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 from .stats import FrequencyProfile
@@ -53,6 +53,9 @@ __all__ = [
     "no_mean_zero_run_ends",
     "no_mean_one_run_ends",
 ]
+
+
+_BLOCK_BYTES = 184  # a block's row, alpha and references, by tracemalloc at 1e5 blocks
 
 
 def _floor(value: Fraction) -> int:
@@ -239,8 +242,9 @@ class OscillationSchedule(_Record):
         return self.x1 if finished_runs % 2 == 0 else self.x2
 
     def values(self) -> Iterator[Fraction]:
-        """All values for positions 1..horizon in order."""
-        return map(self.value_at, range(1, self.horizon + 1))
+        """All values for positions 1..horizon in order: each run's value repeated for its length."""
+        lengths = map(sub, (*self.breakpoints, self.horizon), (0, *self.breakpoints))
+        return chain.from_iterable(map(repeat, cycle((self.x1, self.x2)), lengths))
 
 
 def build_oscillating_schedule(x1, x2, epsilon, horizon: int) -> OscillationSchedule:
@@ -266,24 +270,20 @@ def build_oscillating_schedule(x1, x2, epsilon, horizon: int) -> OscillationSche
     horizon = coerce_index(horizon, "horizon", 1)
     low = x1 + epsilon
     high = x2 - epsilon
-    current = x1
+    # the current run's value p/q, its bound bp/bq and its side: the run
+    # ends where side * (w_n - bound) < 0, tested on integers
+    p, q, bp, bq, side = x1.numerator, x1.denominator, low.numerator, low.denominator, 1
+    other = x2.numerator, x2.denominator, high.numerator, high.denominator, -1
     numerator_sum = 0
     breakpoints: list[int] = []
     w_values: list[Fraction] = []
     for n in range(1, horizon + 1):
-        numerator_sum += (n * current.numerator) // current.denominator
+        numerator_sum += n * p // q
         weight = n * (n + 1) // 2
-        # strict comparisons via integer cross-multiplication
-        if current == x1:
-            if numerator_sum * low.denominator < weight * low.numerator:
-                breakpoints.append(n)
-                w_values.append(Fraction(numerator_sum, weight))
-                current = x2
-        else:
-            if numerator_sum * high.denominator > weight * high.numerator:
-                breakpoints.append(n)
-                w_values.append(Fraction(numerator_sum, weight))
-                current = x1
+        if side * (numerator_sum * bq - weight * bp) < 0:
+            breakpoints.append(n)
+            w_values.append(Fraction(numerator_sum, weight))
+            (p, q, bp, bq, side), other = other, (p, q, bp, bq, side)
     return OscillationSchedule(
         x1=x1,
         x2=x2,
@@ -308,17 +308,16 @@ class BlockSpec(_Record):
     __match_args__ = ("theta", "alphas")
 
     def __init__(self, theta: Fraction, alphas: tuple[Fraction, ...]) -> None:
-        ratios = {}  # alpha -> the (numerator, denominator) of alpha, beta, gamma
         rows = []
+        previous = object()
         for k, alpha in enumerate(alphas, start=1):
-            ratio = ratios.get(alpha)  # one hash of alpha per block that repeats it
-            if ratio is None:
+            if alpha is not previous:  # a schedule's run repeats one object; recomputing is exact
                 beta = 2 - 2 * alpha - theta
                 gamma = alpha - 1 + theta
                 if beta < 0 or gamma < 0 or alpha < 0:
                     raise DomainError(f"block {k}: run densities ({alpha}, {beta}, {gamma}) negative")
-                ratio = ratios[alpha] = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
-            (ap, aq), (bp, bq), (gp, gq) = ratio
+                (ap, aq), (bp, bq), (gp, gq) = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
+                previous = alpha
             rows.append((k * ap // aq, k * bp // bq, k * gp // gq))
         _set(self, "theta", theta)
         _set(self, "alphas", alphas)
@@ -344,7 +343,8 @@ def construct_mean_without_frequency(
     of 0 forces the frequency of digit 0 to 1, and a mean of 2 forces the
     frequency of digit 2 to 1, so every such stream has full frequencies.
     x1 and x2 must lie strictly inside (max(0, 1-theta), (2-theta)/2) to
-    keep the run densities beta_k and gamma_k positive.
+    keep the run densities beta_k and gamma_k positive. Blocks that
+    cannot fit in memory raise MemoryError before any is built.
     """
     theta = coerce_rational(theta)
     x1 = coerce_rational(x1)
@@ -362,6 +362,7 @@ def construct_mean_without_frequency(
             f"x1, x2 must satisfy {window_low} < x1 < x2 < {window_high}, got x1={x1}, x2={x2}"
         )
     blocks = coerce_index(blocks, "blocks", 1)
+    _probe_memory(_BLOCK_BYTES * blocks, f"{blocks} blocks")
     schedule = build_oscillating_schedule(x1, x2, epsilon, horizon=blocks)
     spec = BlockSpec(theta=theta, alphas=tuple(schedule.values()))
     return spec, block_digit_stream(spec)
@@ -369,12 +370,10 @@ def construct_mean_without_frequency(
 
 def block_digit_stream(spec: BlockSpec) -> DigitStream:
     """The ternary stream emitting each block's zeros, then ones, then twos."""
-    run_lengths = tuple(chain.from_iterable(spec.rows))
-
     def chunks(stop: int | None = None) -> Iterator[bytes]:
-        return _run_chunks(cycle((0, 1, 2)), run_lengths)
+        return _run_chunks(cycle((0, 1, 2)), chain.from_iterable(spec.rows))
 
-    return DigitStream._trusted(3, sum(run_lengths), chunks)
+    return DigitStream._trusted(3, sum(map(sum, spec.rows)), chunks)
 
 
 def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:

@@ -215,8 +215,9 @@ class DigitStream:
         ``/dev/stdin``, yields its bytes once, so each piece read is
         checked and kept, as :meth:`from_text` keeps a text: a fault stops
         the reading at the piece that holds it, and a later pass replays
-        the pieces kept. OSError from opening or reading the file
-        propagates.
+        the pieces kept. A piece that ends inside a UTF-8 sequence is
+        completed first, so a fault is named as a file names it. OSError
+        from opening or reading the file propagates.
         """
         b = _check_base(base)
         with open(path, "rb") as file:
@@ -225,6 +226,7 @@ class DigitStream:
 
                 def first_pass() -> Iterator[bytes]:
                     for piece in iter(functools.partial(file.read, _CHUNK_BYTES), b""):
+                        piece += file.read(_utf8_missing(piece))
                         kept.append(piece)
                         yield piece
 
@@ -465,19 +467,6 @@ class RadixExpansion(_Record):
         _set(self, "preperiod", preperiod)
         _set(self, "period", period)
 
-    @classmethod
-    def _trusted(cls, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "RadixExpansion":
-        """An expansion made without ``__init__``'s checks.
-
-        Only for :func:`expand_rational`, whose long division yields digits
-        in [0, base) in canonical form (see its docstring).
-        """
-        expansion = object.__new__(cls)
-        _set(expansion, "base", base)
-        _set(expansion, "preperiod", preperiod)
-        _set(expansion, "period", period)
-        return expansion
-
 
 @functools.cache
 def _proper_divisors(n: int) -> tuple[int, ...]:
@@ -546,7 +535,8 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     preperiod is minimal, the period is primitive, and a reduced
     denominator whose primes all divide the base terminates with period
     ``(0,)``. Each of the preperiod and period is shorter than the reduced
-    denominator.
+    denominator. So the result skips ``RadixExpansion``'s checks
+    (`_restore`).
 
     The division runs in three steps:
 
@@ -592,7 +582,7 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         preperiod.append(remainder // q)
         remainder %= q
     if remainder == 0:
-        return RadixExpansion._trusted(b, tuple(preperiod), (0,))
+        return _restore(RadixExpansion, (b, tuple(preperiod), (0,)))
     first = remainder
     period = []
     # The walk's one compare bounds it: the target is the remainder
@@ -607,7 +597,7 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         remainder %= q
         if remainder == target:
             if remainder == first:
-                return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
+                return _restore(RadixExpansion, (b, tuple(preperiod), tuple(period)))
             if len(period) == _DIVISION_DIGITS:
                 break
             target = first
@@ -620,14 +610,14 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
             remainder *= b
             period.append(remainder // q)
             remainder %= q
-        return RadixExpansion._trusted(b, tuple(preperiod), tuple(period))
+        return _restore(RadixExpansion, (b, tuple(preperiod), tuple(period)))
     scale, spec = b**_DIVISION_DIGITS, f"0{_DIVISION_DIGITS}{code}"
     blocks = []
     for _ in range(-(-left // _DIVISION_DIGITS)):
         block, remainder = divmod(remainder * scale, q)
         blocks.append(format(block, spec))
     tail = "".join(blocks).encode("ascii")[:left].translate(_FORMAT_TO_DIGIT)
-    return RadixExpansion._trusted(b, tuple(preperiod), tuple(bytes(period) + tail))
+    return _restore(RadixExpansion, (b, tuple(preperiod), tuple(bytes(period) + tail)))
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:
@@ -742,6 +732,17 @@ def _ascii(text: str, base: int) -> bytes:
         bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
         raise DomainError(f"invalid digit character {bad.group()!r}")
     return text.encode("ascii")
+
+
+def _utf8_missing(piece: bytes) -> int:
+    """How many bytes the UTF-8 sequence that `piece` ends inside lacks: 0 to 3."""
+    for back in range(1, min(len(piece), 4) + 1):
+        byte = piece[-back]
+        if byte < 0x80:  # ASCII
+            return 0
+        if byte >= 0xC0:  # a lead byte, of a sequence of 2, 3 or 4 bytes
+            return max((2 if byte < 0xE0 else 3 if byte < 0xF0 else 4) - back, 0)
+    return 0  # continuation bytes only: no sequence to complete
 
 
 def _digit_values(raw: Iterable[bytes], base: int) -> Iterator[_Chunk]:

@@ -210,6 +210,64 @@ def test_schedule_validation():
             OscillationSchedule(F(1, 5), F(2, 5), F(1, 20), 10, breakpoints, w_values)
 
 
+def schedule_reference(x1: Fraction, x2: Fraction, epsilon: Fraction, horizon: int) -> tuple[list, list]:
+    """Breakpoints and their averages by the first scan: a branch per kind of run, one step per position."""
+    low = x1 + epsilon
+    high = x2 - epsilon
+    current = x1
+    numerator_sum = 0
+    breakpoints, w_values = [], []
+    for n in range(1, horizon + 1):
+        numerator_sum += (n * current.numerator) // current.denominator
+        weight = n * (n + 1) // 2
+        if current == x1:
+            if numerator_sum * low.denominator < weight * low.numerator:
+                breakpoints.append(n)
+                w_values.append(Fraction(numerator_sum, weight))
+                current = x2
+        else:
+            if numerator_sum * high.denominator > weight * high.numerator:
+                breakpoints.append(n)
+                w_values.append(Fraction(numerator_sum, weight))
+                current = x1
+    return breakpoints, w_values
+
+
+SCHEDULE_ARGS = [(F(1, 5), F(2, 5), F(1, 20)), (F(1, 20), F(1, 4), F(1, 30)), (F(5, 2), F(7, 2), F(1, 3)),
+                 (F(3, 7), F(11, 13), F(1, 97))]
+
+
+@pytest.mark.parametrize("args, horizons", [
+    *((args, range(1, 1001)) for args in SCHEDULE_ARGS),
+    (SCHEDULE_ARGS[0], [10**5]),
+])
+def test_schedule_matches_the_scan_by_branches_at_every_horizon(args, horizons):
+    # the scan up to one horizon holds its answer for every shorter one: the breakpoints up to it
+    breakpoints, w_values = schedule_reference(*args, max(horizons))
+    for horizon in horizons:
+        runs = sum(b <= horizon for b in breakpoints)
+        schedule = build_oscillating_schedule(*args, horizon)
+        assert schedule.breakpoints == tuple(breakpoints[:runs]), (args, horizon)
+        assert schedule.w_at_breakpoints == tuple(w_values[:runs]), (args, horizon)
+
+
+def test_schedule_values_repeat_each_run_as_value_at_reads_it():
+    last = build_oscillating_schedule(F(1, 5), F(2, 5), F(1, 20), 500).breakpoints[-1]
+    for horizon in (last, last + 1):  # the last run ends at the horizon, or runs past it
+        schedule = build_oscillating_schedule(F(1, 5), F(2, 5), F(1, 20), horizon)
+        assert schedule.breakpoints[-1] == last
+        assert list(schedule.values()) == [schedule.value_at(n) for n in range(1, horizon + 1)], horizon
+
+
+def test_blockspec_rows_do_not_depend_on_which_equal_alphas_are_given():
+    schedule = build_oscillating_schedule(F(1, 5), F(2, 5), F(1, 20), 2000)
+    shared = tuple(schedule.values())  # one object per run
+    distinct = tuple(Fraction(alpha.numerator, alpha.denominator) for alpha in shared)  # one object per block
+    assert len({id(alpha) for alpha in distinct}) == len(distinct)
+    assert BlockSpec(F(1), distinct) == BlockSpec(F(1), shared)
+    assert BlockSpec(F(1), distinct).rows == tuple(block_rows_reference(F(1), shared))
+
+
 def test_construct_mean_nofreq_infeasible_endpoints():
     with pytest.raises(Infeasible):
         construct_mean_without_frequency(0, F(1, 5), F(2, 5), F(1, 20), 5)

@@ -250,6 +250,31 @@ def test_a_pipe_is_read_in_checked_pieces_and_replayed(monkeypatch, base, text):
                 assert len(pipe.read()) >= len(data) - io.DEFAULT_BUFFER_SIZE  # one read buffer at most
 
 
+def read_fault(path, base: int) -> str:
+    with pytest.raises(DomainError) as caught:
+        DigitStream.from_file(path, base)
+    return str(caught.value)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="opens a pipe by its /dev/fd path")
+def test_a_pipe_names_a_fault_as_the_file_does(tmp_path, monkeypatch):
+    # a piece read from a pipe may end inside a multi-byte character; the fault is named whole all the same
+    path = tmp_path / "digits.txt"
+    for size in range(1, 8):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", size)
+        for fault in FAULTS:
+            for before in range(9):
+                for after in range(4):
+                    data = b"0" * before + fault + b"0" * after
+                    path.write_bytes(data)
+                    read, write = os.pipe()
+                    os.write(write, data)
+                    os.close(write)
+                    with open(read, "rb", closefd=True) as pipe:
+                        piped = read_fault(f"/dev/fd/{pipe.fileno()}", 10)
+                    assert piped == read_fault(path, 10), (size, data)
+
+
 def test_text_to_digits_names_a_lone_surrogate():
     # surrogateescape'd stdin holds lone surrogates; they are named, not called non-UTF-8
     with pytest.raises(DomainError, match=r"invalid digit character '\\udcff'$"):

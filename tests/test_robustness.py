@@ -46,6 +46,7 @@ EXTREME = [
     (["simulate", "--base", "3", "--n", "10", "--trials", str(10**11), "--seed", "1"], b"", False),
     (["digits", "--base", "10", "--rational", "1/7", "--count", HUGE, "--format", "json"], b"", True),
     (["digits", "--base", "10", "--rational", "1/1000000000000000003"], b"", False),  # a period larger than memory
+    (["construct-mean-nofreq", *BLOCK, "--blocks", str(10**8)], b"", False),  # blocks larger than memory
 ]
 
 
