@@ -9,6 +9,7 @@ integer arithmetic; values round-trip bit-exactly.
 from __future__ import annotations
 
 import codecs
+import decimal
 import functools
 import itertools
 import operator
@@ -85,14 +86,15 @@ def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chu
 
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
-    ``bytes()`` conversion does both in C, and one ``translate`` checks
-    the range. Otherwise DomainError names the first bad digit by its
-    repr, as out of range; when `digits` are a lazy stream's digits after
-    depth `depth`, one that is not an integer is named by its depth.
+    ``bytearray()`` conversion (faster than ``bytes()`` on a list) does
+    both in C, and one ``translate`` checks the range. Otherwise
+    DomainError names the first bad digit by its repr, as out of range;
+    when `digits` are a lazy stream's digits after depth `depth`, one
+    that is not an integer is named by its depth.
     """
     try:
         if base <= 256:
-            values = bytes(digits)
+            values = bytes(bytearray(digits))
             if not values.translate(None, _BYTE_VALUES[:base]):
                 return values if base <= 10 else tuple(values)
         else:
@@ -455,12 +457,11 @@ class RadixExpansion(_Record):
         period = tuple(_check_digits(tuple(period), b))
         if not period:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
-        n = len(period)
-        if period.count(b - 1) == n:
+        if period.count(b - 1) == len(period):
             raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
-        for width in _proper_divisors(n):
-            if period == period[:width] * (n // width):
-                raise DomainError(f"period {period} is a repetition of {period[:width]}")
+        width = _root(period)
+        if width < len(period):
+            raise DomainError(f"period {period} is a repetition of {period[:width]}")
         if preperiod and preperiod[-1] == period[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
         _set(self, "base", b)
@@ -468,11 +469,30 @@ class RadixExpansion(_Record):
         _set(self, "period", period)
 
 
+def _root(word: tuple) -> int:
+    """The length of the shortest word that `word` is a power of: ``len(word)`` when it is primitive.
+
+    A word of length n is a proper power exactly when it equals its rotation by
+    n/p for some prime p dividing n; only once one does are the divisors searched.
+    """
+    n = len(word)
+    if all(word[w:] != word[:-w] for w in _prime_cofactors(n)):
+        return n
+    return next(w for w in _proper_divisors(n) if word[w:] == word[:-w])
+
+
 @functools.cache
 def _proper_divisors(n: int) -> tuple[int, ...]:
     """The divisors of n below n, ascending."""
     low = [w for w in range(1, isqrt(n) + 1) if n % w == 0]
     return tuple(low + [n // w for w in reversed(low) if w * w != n])[:-1]
+
+
+@functools.cache
+def _prime_cofactors(n: int) -> tuple[int, ...]:
+    """n/p for each prime p dividing n: the divisors of n below n that divide no larger one."""
+    divisors = _proper_divisors(n)
+    return tuple(w for i, w in enumerate(divisors) if all(v % w for v in divisors[i + 1 :]))
 
 
 def _probe_memory(size: int, what: str) -> None:
@@ -488,10 +508,11 @@ def _probe_memory(size: int, what: str) -> None:
         raise MemoryError(what) from None
 
 
-_DIVISION_DIGITS = 256  # period digits walked one at a time, then digits per block division
+_DIVISION_DIGITS = 256  # period digits walked one at a time, each with a remainder compare
 _BABY_STEPS = 1 << 16  # most baby steps of the order search, for a modulus of up to 64 bits
-_FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}  # bases whose blocks `format` renders
+_FORMAT_CODES = {2: "b", 8: "o", 16: "x"}  # bases whose digits `format` renders in linear time
 _FORMAT_TO_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_VALUE_DIGITS = 600  # digits per piece `_digits_value` reads as text, below the smallest int-string limit, 640
 
 
 def _order(base: int, modulus: int) -> int:
@@ -547,12 +568,13 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
       the base modulo the reduced denominator with the base's primes
       removed; `_order` finds it without making a digit, and a period
       that cannot fit in memory raises MemoryError here.
-    * **Blocks.** In bases 2, 8, 10 and 16 the other digits come from one
-      ``divmod`` per ``_DIVISION_DIGITS`` digits, rendered by ``format``.
-      A block stays below 640 digits, the smallest limit
-      ``sys.set_int_max_str_digits`` accepts, so no setting of it can
-      refuse one. Other bases take one division per digit, with no
-      remainder compared, as L is known.
+    * **One division.** The other ``left`` digits, read as one integer,
+      are the floor of ``remainder * base**left / q``. In base 10 a
+      ``decimal`` context precise enough for all of them, with rounding
+      trapped, divides and renders it (``sys.set_int_max_str_digits``
+      does not bound a ``Decimal``); in bases 2, 8 and 16 a shift, one
+      division and ``format`` do, in linear time. Other bases take one
+      division per digit, with no remainder compared, as L is known.
 
     The endpoint x = 1 is rejected: it has no digit string starting "0.",
     so this package works on [0, 1).
@@ -604,31 +626,39 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     length = _order(b, rest)
     _probe_memory(8 * length, f"a period of {length} digits")
     left = length - _DIVISION_DIGITS
-    code = _FORMAT_CODES.get(b)
-    if code is None:
+    if b == 10:
+        traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]  # none can occur at this precision
+        context = decimal.Context(left + q.bit_length(), Emax=decimal.MAX_EMAX, traps=traps)
+        tail = str(context.divide_int(decimal.Decimal(remainder).scaleb(left, context), q))
+    elif b in _FORMAT_CODES:
+        tail = format((remainder << (b.bit_length() - 1) * left) // q, _FORMAT_CODES[b])
+    else:
         for _ in range(left):
             remainder *= b
             period.append(remainder // q)
             remainder %= q
         return _restore(RadixExpansion, (b, tuple(preperiod), tuple(period)))
-    scale, spec = b**_DIVISION_DIGITS, f"0{_DIVISION_DIGITS}{code}"
-    blocks = []
-    for _ in range(-(-left // _DIVISION_DIGITS)):
-        block, remainder = divmod(remainder * scale, q)
-        blocks.append(format(block, spec))
-    tail = "".join(blocks).encode("ascii")[:left].translate(_FORMAT_TO_DIGIT)
+    tail = tail.zfill(left).encode("ascii").translate(_FORMAT_TO_DIGIT)
     return _restore(RadixExpansion, (b, tuple(preperiod), tuple(bytes(period) + tail)))
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:
     """The integer whose base-`base` digits, most significant first, are `digits`.
 
-    Neighbouring values are merged pairwise, halving their number each
-    round, so the large multiplications stay balanced and the cost stays
-    near-linear instead of quadratic in the number of digits.
+    Up to base 10 ``int()`` reads them as text, in pieces of _VALUE_DIGITS
+    cut from the end. Neighbouring values are then merged pairwise,
+    halving their number each round, so the large multiplications stay
+    balanced and the cost stays near-linear instead of quadratic in the
+    number of digits.
     """
-    values = list(digits) or [0]
-    weight = base  # base ** (digits per value)
+    if base <= 10:
+        text = bytearray(digits).translate(_DIGIT_TO_CHAR)
+        cuts = range(-(-len(text) % _VALUE_DIGITS), len(text), _VALUE_DIGITS)
+        values = [int(text[max(cut, 0) : cut + _VALUE_DIGITS], base) for cut in cuts] or [0]
+        weight = base**_VALUE_DIGITS  # base ** (digits per value)
+    else:
+        values = list(digits) or [0]
+        weight = base
     while len(values) > 1:
         if len(values) % 2:
             values.insert(0, 0)

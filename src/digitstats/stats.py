@@ -140,8 +140,9 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     """Statistics of `stream` at each checkpoint depth, in one pass.
 
     If the stream ends before the last checkpoint, the final row reports
-    the statistics at the actual length with ``truncated=True``. A run or
-    period chunk is counted from its unit (see `_count`), so the cost is
+    the statistics at the actual length with ``truncated=True``. A run
+    chunk is counted in one step for each checkpoint it reaches, and a
+    period chunk from its unit (see `_count`), so the cost is
     O(runs + checkpoints) there, not O(digits).
     """
     marks = [coerce_index(m, "checkpoint", 1) for m in checkpoints]
@@ -154,14 +155,26 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     _probe_memory(8 * base, f"a row of {base} counts")  # a row's `base` pointers, before any digit
 
     def row(truncated: bool) -> PartialStats:
-        return PartialStats(base, depth, tuple(map(counts.__getitem__, range(base))), truncated)
+        return PartialStats(base, depth, counts, truncated)
 
-    counts: Counter[int] = Counter()
+    counts = [0] * base
     depth = 0
     rows: list[PartialStats] = []
     pending = iter(marks)
     mark = next(pending)
     for chunk in stream._chunks(marks[-1]):
+        if chunk.__class__ is _Repeat and len(chunk.unit) == 1:  # a run
+            digit, end = chunk.unit[0], depth + chunk.length
+            while end >= mark:
+                counts[digit] += mark - depth
+                depth = mark
+                rows.append(row(False))
+                mark = next(pending, None)
+                if mark is None:
+                    return rows
+            counts[digit] += end - depth
+            depth = end
+            continue
         start, size = 0, len(chunk)
         while start < size:
             end = min(size, start + mark - depth)
@@ -182,22 +195,19 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
     return rows
 
 
-def _count(counts: Counter, chunk, start: int, end: int, base: int) -> None:
-    """Add the counts of the digits of ``chunk[start:end]`` to `counts`.
+def _count(counts, chunk, start: int, end: int, base: int) -> None:
+    """Add the counts of the digits of ``chunk[start:end]`` to `counts`, a list or Counter.
 
     A `_Repeat` of a unit of P digits is counted from its unit: the tail
     of the copy that `start` falls in, the whole copies after it times
     their count, and the head of the copy that `end` falls in, so no
-    more than about 3P digits are read, and one for a run.
+    more than about 3P digits are read.
     """
     if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
         _count_bytes(counts, chunk, start, end, base)
     elif isinstance(chunk, _Repeat):
         unit = chunk.unit
         size = len(unit)
-        if size == 1:
-            counts[unit[0]] += end - start
-            return
         (first, start), (last, end) = divmod(start, size), divmod(end, size)
         if first == last:
             _count(counts, unit, start, end, base)
@@ -210,11 +220,12 @@ def _count(counts: Counter, chunk, start: int, end: int, base: int) -> None:
             for digit, count in whole.items():
                 counts[digit] += count * (last - first - 1)
     else:
-        counts.update(chunk[start:end])
+        for digit, count in Counter(chunk[start:end]).items():
+            counts[digit] += count
 
 
-# Digits per bit-plane pass of `_count_bytes`; a shorter segment is counted by `bytes.count`.
-_PIECE = 1 << 14
+_PIECE = 1 << 14  # digits per bit-plane pass of `_count_bytes`
+_PLANE_DIGITS = 3 << 10  # the shortest segment `_count_bytes` counts by bit planes, where they overtake `bytes.count`
 
 
 @cache
@@ -232,16 +243,17 @@ def _planes() -> tuple[bytes, tuple[int, ...]]:
 def _count_bytes(counts, digits: bytes, start: int, end: int, base: int) -> None:
     """Add the count of each digit value below `base` in ``digits[start:end]`` to `counts`.
 
-    A segment of at least _PIECE digits is counted by bit planes, a piece
-    at a time: one `translate` makes each digit d < 8 the byte 1 << d, one
-    `int.from_bytes` reads the piece, and N_d is the `bit_count` of its AND
-    with plane d; digits from 8 up keep `bytes.count`. A shorter segment,
-    where the planes' fixed cost loses, and base 2, whose long runs
-    `bytes.count` predicts well, are counted with `bytes.count` alone.
+    A segment of at least _PLANE_DIGITS digits is counted by bit planes,
+    a piece of up to _PIECE digits at a time: one `translate` makes each
+    digit d < 8 the byte 1 << d, one `int.from_bytes` reads the piece, and
+    N_d is the `bit_count` of its AND with plane d; digits from 8 up keep
+    `bytes.count`. A shorter segment, where the planes' fixed cost loses,
+    and base 2, whose long runs `bytes.count` predicts well, are counted
+    with `bytes.count` alone.
     Each value is counted on its own, so a byte not below `base` is in no
     count and leaves the counts short of the segment's length.
     """
-    if base == 2 or end - start < _PIECE:
+    if base == 2 or end - start < _PLANE_DIGITS:
         for digit in range(base):
             counts[digit] += digits.count(digit, start, end)
         return

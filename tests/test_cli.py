@@ -206,6 +206,37 @@ def test_construct_mean_nofreq_digits(capsys):
     assert set(out.strip()) <= {"0", "1", "2"}
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_spec_output_that_cannot_fit_fails_before_the_construction(capsys, monkeypatch, fmt):
+    # the spec output's own probe refuses the blocks; no construction, schedule or spec is made
+    from digitstats import cli, construct
+
+    asked = []
+
+    def probe(size, what):
+        asked.append(size)
+        raise MemoryError(what)
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the probe")
+
+    monkeypatch.setattr(cli, "_probe_memory", probe)
+    for name in ("construct_mean_without_frequency", "build_oscillating_schedule", "BlockSpec", "blockspec_table"):
+        monkeypatch.setattr(construct, name, never)
+    argv = ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20"]
+    code, out, err = run(capsys, [*argv, "--blocks", "2000000", "--format", fmt])
+    assert (code, out, err) == (1, "", "error: memory: out of memory\n")
+    assert asked == [cli._SPEC_BYTES[fmt] * 2000000]
+    # digit output keeps the construction's own probe, and a spec that fits passes this one
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_probe_memory", probe)
+    assert run(capsys, [*argv, "--blocks", "3", "--emit", "digits"])[0] == 0
+    assert asked == [cli._SPEC_BYTES[fmt] * 2000000]
+    monkeypatch.setattr(cli, "_probe_memory", lambda size, what: asked.append(size))
+    assert run(capsys, [*argv, "--blocks", "3", "--format", fmt])[0] == 0
+    assert asked[-1] == cli._SPEC_BYTES[fmt] * 3
+
+
 def test_no_mean_example_output(capsys):
     code, out, _ = run(capsys, ["no-mean-example", "--count", "6"])
     assert code == 0

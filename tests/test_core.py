@@ -1,9 +1,10 @@
 """Tests for exact expansions and digit streams."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, product
 from math import gcd
 
 import pytest
@@ -167,6 +168,38 @@ def test_expansion_primitivity_names_shortest_repeating_word():
     assert len(RadixExpansion(3, (), (1,) + (0,) * 719).period) == 720
 
 
+def all_divisors_root(word: tuple) -> int:
+    """The length of the shortest word that `word` is a power of: every divisor of its length tried in ascending order."""
+    n = len(word)
+    return next(w for w in range(1, n + 1) if n % w == 0 and word == word[:w] * (n // w))
+
+
+def test_primitivity_by_prime_cofactors_matches_the_all_divisors_search():
+    # every word up to length 12 in bases 2 and 3
+    for base in (2, 3):
+        for n in range(1, 13):
+            for word in product(range(base), repeat=n):
+                assert core._root(word) == all_divisors_root(word), word
+    # lengths with many divisors: a power of a word of each length that divides them, and the
+    # same with one digit changed, which no rotation but the whole word matches
+    rng = random.Random(49995)
+    for n in (360, 720, 5040, 49995):
+        for width in (w for w in range(1, n + 1) if n % w == 0):
+            word = tuple(rng.randrange(2) for _ in range(width)) * (n // width)
+            changed = word[:-1] + (1 - word[-1],)
+            for period in (word, changed):
+                expected = all_divisors_root(period)
+                assert core._root(period) == expected, (n, width)
+                if period.count(1) == n:  # the non-canonical twin, named as such
+                    continue
+                if expected == n:
+                    assert RadixExpansion(2, (), period).period == period
+                else:
+                    with pytest.raises(DomainError) as caught:
+                        RadixExpansion(2, (), period)
+                    assert str(caught.value) == f"period {period} is a repetition of {period[:expected]}"
+
+
 def test_expand_rational_matches_long_division_oracle():
     for base in range(2, 17):
         for q in range(1, 301):
@@ -213,6 +246,42 @@ def test_long_expansion_round_trip(p, q, base):
     assert len(e.preperiod) + len(e.period) > 40
     assert (e.preperiod, e.period) == long_division(p, q, base)
     assert evaluate_expansion(e) == Fraction(p, q)
+
+
+def division_digits(remainder: int, q: int, base: int, count: int) -> tuple[int, ...]:
+    """`count` digits of long division from `remainder`, one remainder step each."""
+    digits = []
+    for _ in range(count):
+        remainder *= base
+        digits.append(remainder // q)
+        remainder %= q
+    return tuple(digits)
+
+
+def test_long_expansions_under_the_smallest_int_string_limit():
+    """Long periods expand, evaluate and round-trip under the smallest limit `sys.set_int_max_str_digits` accepts."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int-string limit")
+    previous = sys.get_int_max_str_digits()
+    set_limit(640)
+    try:
+        q = 999983
+        for base in (10, 2, 8, 16):
+            period = expand_rational(1, q, base).period
+            length = len(period)
+            # the period's length is the order of the base modulo q, and its ends are those of long division
+            assert pow(base, length, q) == 1
+            assert all(pow(base, cofactor, q) != 1 for cofactor in core._prime_cofactors(length))
+            assert period[:2000] == division_digits(1, q, base, 2000)
+            assert period[-2000:] == division_digits(pow(base, length - 2000, q), q, base, 2000)
+        for base in (3, 10):
+            expansion = expand_rational(12345, 99991, base)
+            assert len(expansion.period) > 640
+            assert evaluate_expansion(expansion) == Fraction(12345, 99991)
+            assert parse_expansion(format_expansion(expansion)) == expansion
+    finally:
+        set_limit(previous)
 
 
 def walk_length(base: int, modulus: int) -> int:

@@ -47,6 +47,7 @@ EXTREME = [
     (["digits", "--base", "10", "--rational", "1/7", "--count", HUGE, "--format", "json"], b"", True),
     (["digits", "--base", "10", "--rational", "1/1000000000000000003"], b"", False),  # a period larger than memory
     (["construct-mean-nofreq", *BLOCK, "--blocks", str(10**8)], b"", False),  # blocks larger than memory
+    (["construct-mean-nofreq", *BLOCK, "--blocks", str(2 * 10**6)], b"", False),  # blocks that fit, a spec that does not
 ]
 
 

@@ -633,12 +633,14 @@ def long_literals(rng, base, length):
 
 @pytest.mark.parametrize("base", range(2, 11))
 def test_long_literal_segments_match_a_bytes_count_oracle(monkeypatch, base):
-    # segments of one piece minus 1, one piece, one piece plus 1 and several pieces plus a
-    # remainder, cut by checkpoints inside pieces, count as `bytes.count` counts them
+    # segments of the plane threshold minus 1, the threshold and the threshold plus 1, one piece
+    # minus 1, one piece, one piece plus 1 and several pieces plus a remainder, cut by checkpoints
+    # inside pieces, count as `bytes.count` counts them
     plane_runs = []
     monkeypatch.setattr(stats, "_planes", lambda real=stats._planes: plane_runs.append(1) or real())
     piece, rng = stats._PIECE, random.Random(base)
-    for length in (piece - 1, piece, piece + 1, 3 * piece + 123):
+    threshold = stats._PLANE_DIGITS
+    for length in (threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 3 * piece + 123):
         for digits in long_literals(rng, base, length):
             inside = {rng.randint(1, length), piece // 2 + 1, piece + piece // 3, 2 * piece + 5, length}
             for marks in ([length], [1, length], sorted(m for m in inside if m <= length), [length - 1, length + 7]):
