@@ -7,10 +7,12 @@ random integer generation in an interval", ACM TOMACS 2019) accepts a
 draw w so that floor(w * s**k / 2**64) is exactly uniform on [0, s**k),
 and its k base-s digits, leading digit first, are the next k digits of
 the stream. Results are bit-identical across machines, runs, and degrees
-of parallelism. Each trial derives its own
-seed from the master seed and the trial index, making trials independent
-and order-insensitive; aggregation is a pure function of the per-trial
-results in index order.
+of parallelism. A trial yields its digit sum: up to base 16 a multiply
+takes c digits, the most with base**c <= 256, and a table of the digit
+sums of all byte values adds the chunks up; above base 16 a multiply
+takes one digit. Each trial derives its own seed from the master seed
+and the trial index, making trials independent and order-insensitive;
+aggregation is a pure function of the per-trial results in index order.
 
 The almost-sure behaviour being probed: a uniformly random base-s digit
 stream has all digit frequencies 1/s, hence digit mean (s-1)/2, so trial
@@ -136,7 +138,7 @@ def _low_words(packed: int, lanes: int) -> memoryview:
     return memoryview(packed.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_LOW_WORD_STEP]
 
 
-def _digit_blocks(base: int, count: int, seed: int) -> Iterator[tuple[int, int, int, Iterator[int]]]:
+def _digit_blocks(base: int, count: int, seed: int, width: int = 1) -> Iterator[tuple[int, int, int, Iterator[int]]]:
     """The first `count` digits of the seeded stream, a block at a time.
 
     SplitMix64 states are seed + i*GOLDEN_GAMMA, so a block of draws is one
@@ -147,9 +149,10 @@ def _digit_blocks(base: int, count: int, seed: int) -> Iterator[tuple[int, int, 
 
     Each block is (lanes, accepted, kept, rounds). `accepted` has bit 0 of
     lane i set iff draw i passed the threshold test; `kept` is how many of
-    the block's digits belong to the first `count`. `rounds` yields k
-    packed ints; round j holds digit j of every draw, one per lane. The
-    digits of rejected draws, and of the last draw past `count`, are 0.
+    the block's digits belong to the first `count`. `rounds` yields packed
+    ints, each with the next (at most `width`) digits of every draw, one
+    number per lane: with width 1, round j holds digit j. The digits of
+    rejected draws, and of the last draw past `count`, are 0.
     """
     k = _digits_per_draw(base)
     power = base**k
@@ -171,21 +174,26 @@ def _digit_blocks(base: int, count: int, seed: int) -> Iterator[tuple[int, int, 
         state = (state + lanes * GOLDEN_GAMMA) & MASK64
         digits = accepted.bit_count() * k
         # only the last draw of the last block can run past `count`
-        yield lanes, accepted, min(digits, count), _rounds(z, base, k, low, k + min(0, count - digits))
+        yield lanes, accepted, min(digits, count), _rounds(z, base, k, low, k + min(0, count - digits), width)
         count -= digits
 
 
-def _rounds(draws: int, base: int, k: int, low: int, top_digits: int) -> Iterator[int]:
+def _rounds(draws: int, base: int, k: int, low: int, top_digits: int, width: int) -> Iterator[int]:
     """The k leading base-`base` digits of each lane's draw / 2**64, a round at a time.
 
-    The top lane gives only its first `top_digits` digits and 0 after them.
+    A round gives each lane's next `width` digits (fewer where a round
+    ends at `top_digits` or k) as one number below base**width, leading
+    digit first. The top lane gives only its first `top_digits` digits
+    and 0 after them.
     """
-    for j in range(k):
-        if j == top_digits:
+    for start, stop in ((0, top_digits), (top_digits, k)):
+        if 0 < start < k:
             draws &= low >> 128
-        product = draws * base
-        yield product >> 64 & low
-        draws = product & low
+        full, part = divmod(stop - start, width)
+        for power in chain(repeat(base**width, full), repeat(base**part, part > 0)):
+            product = draws * power
+            yield product >> 64 & low
+            draws = product & low
 
 
 def uniform_digits(base: int, count: int, seed: int) -> list[int]:
@@ -269,21 +277,51 @@ class ExperimentSummary(_Record):
         return math.sqrt(self.variance)
 
     def stddev_decimal(self, digits: int = DECIMAL_SIGNIFICANT_DIGITS) -> str:
+        """sqrt(variance), rounded once, half-even, to `digits` significant digits.
+
+        A rational root renders as `decimal_str` does. An irrational one lies
+        strictly between m and m + 1 for m = floor(root * 10**e), as m + 1/10
+        does; with m of more than `digits` digits, the two round alike.
+        """
+        p, q = self.variance.numerator, self.variance.denominator
+        if math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q:
+            return decimal_str(Fraction(math.isqrt(p), math.isqrt(q)), digits)
+        e = digits + 2 - (p.bit_length() - q.bit_length()) * 3 // 20  # about 0.15 decimal digits per bit
+        while (m := math.isqrt(int(self.variance * Fraction(100) ** e))) < 10**digits:
+            e += 1
         context = _decimal_context(digits)
-        value = context.divide(Decimal(self.variance.numerator), Decimal(self.variance.denominator))
-        return context.to_sci_string(context.sqrt(value))
+        return context.to_sci_string(context.plus(Decimal(f"{10 * m + 1}E{-e - 1}")))
 
 
-def _trial_mean(base: int, depth: int, seed: int) -> Fraction:
-    """The digit mean of one trial, from its digit sum: no object per digit.
+@cache
+def _chunk_sums(base: int) -> bytes:
+    """The base-`base` digit sum of each byte value, a `bytes.translate` table."""
+    table = bytearray(256)
+    for v in range(1, 256):
+        table[v] = table[v // base] + v % base
+    return bytes(table)
 
-    A block's rounds are added lane-wise, so only one sum per lane is
-    unpacked: a lane's sum is at most k*(base-1) < base**k <= 2**64.
+
+def _trial_sum(base: int, depth: int, seed: int) -> int:
+    """The digit sum of one trial's `depth` digits: no object per digit.
+
+    Up to base 16 a round takes c >= 2 digits at once, the largest c with
+    base**c <= 256, and round i lands in byte i of its 128-bit lane (at
+    most 11 rounds), so one `translate` of the block's bytes through
+    `_chunk_sums` gives every chunk's digit sum. Above base 16 a round is
+    one digit, and the rounds are added lane-wise: a lane's sum is at most
+    k*(base-1) < base**k <= 2**64.
     """
+    width = max(c for c in range(1, 9) if base**c <= 256) if base <= 16 else 1
     total = 0
-    for lanes, _, _, rounds in _digit_blocks(base, depth, seed):
-        total += sum(_low_words(sum(rounds), lanes))
-    return Fraction(total, depth)
+    for lanes, _, _, rounds in _digit_blocks(base, depth, seed, width):
+        if width == 1:
+            total += sum(_low_words(sum(rounds), lanes))
+        else:
+            packed = sum(chunks << 8 * i for i, chunks in enumerate(rounds))
+            # zero bytes, a lane's bytes past its rounds among them, add nothing: they are dropped
+            total += sum(packed.to_bytes(16 * lanes, "little").translate(_chunk_sums(base), b"\0"))
+    return total
 
 
 def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> ExperimentSummary:
@@ -302,34 +340,32 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
     workers = min(workers, cfg.trials, os.cpu_count() or 1)
     if cfg.trials * -(-cfg.depth // _digits_per_draw(cfg.base)) < _SERIAL_DRAWS:
         workers = 1
-    # the per-trial means are the output: their list is made first, so that
-    # more trials than memory holds fail at once, not after hours of trials
-    r_values: list = [None] * cfg.trials
+    # the per-trial digit sums give the output: their list is made first, so
+    # that more trials than memory holds fail at once, not after hours of trials
+    sums: list = [None] * cfg.trials
     seeds = map(trial_seed, repeat(cfg.master_seed), range(cfg.trials))
     if workers == 1:
         for i, seed in enumerate(seeds):
-            r_values[i] = _trial_mean(cfg.base, cfg.depth, seed)
+            sums[i] = _trial_sum(cfg.base, cfg.depth, seed)
     else:
         # imported here so that runs without a process pool do not pay for its import
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            r_values[:] = pool.map(_trial_mean, repeat(cfg.base), repeat(cfg.depth), seeds, chunksize=chunk)
-    mean = sum(r_values, Fraction(0)) / cfg.trials
-    if cfg.trials > 1:
-        variance = sum(((r - mean) ** 2 for r in r_values), Fraction(0)) / (cfg.trials - 1)
-    else:
-        variance = Fraction(0)
-    center = Fraction(cfg.base - 1, 2)
-    hits = sum(1 for r in r_values if abs(r - center) <= band)
+            sums[:] = pool.map(_trial_sum, repeat(cfg.base), repeat(cfg.depth), seeds, chunksize=chunk)
+    # trial i's mean is x_i / d: the mean, the unbiased variance (0 for one trial) and the
+    # band test |x/d - (base-1)/2| <= band, all in integers
+    d, t, total = cfg.depth, cfg.trials, sum(sums)
+    variance = Fraction(t * sum(x * x for x in sums) - total * total, max(1, t * (t - 1)) * d * d)
+    hits = sum(abs(2 * x - (cfg.base - 1) * d) * band.denominator <= 2 * d * band.numerator for x in sums)
     return ExperimentSummary(
         config=cfg,
         band=band,
-        r_values=tuple(r_values),
-        mean=mean,
+        r_values=tuple(Fraction(x, d) for x in sums),
+        mean=Fraction(total, d * t),
         variance=variance,
-        fraction_in_band=Fraction(hits, cfg.trials),
+        fraction_in_band=Fraction(hits, t),
     )
 
 

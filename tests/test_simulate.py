@@ -1,10 +1,12 @@
 """Tests for the reproducible Monte Carlo harness."""
 
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from digitstats import (
     DomainError,
     ExperimentConfig,
+    ExperimentSummary,
     RNG_ID,
     mix64,
     normality_experiment,
@@ -21,7 +24,7 @@ from digitstats import (
     uniform_digits,
 )
 from digitstats import simulate
-from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64, MAX_COUNTED_BASE, _digits_per_draw, _trial_mean
+from digitstats.simulate import GOLDEN_GAMMA, LANES, MASK64, MAX_COUNTED_BASE, _chunk_sums, _digits_per_draw, _trial_sum
 
 
 def test_generator_reference_vectors():
@@ -129,17 +132,21 @@ def test_stream_is_multidigit_v2():
     assert uniform_digits(2**64, 3, seed=0) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-# 2**63 + 1 and 3 * 2**62 reject about half and a quarter of all draws
-@pytest.mark.parametrize("base", [2, 3, 10, 2**63 + 1, 3 * 2**62, 2**64])
+# 2**63 + 1 and 3 * 2**62 reject about half and a quarter of all draws; bases up to 16
+# sum their trials in chunks of 8 (base 2) down to 2 (bases 7 to 16) digits, 17 digit by digit
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 7, 10, 16, 17, 2**63 + 1, 3 * 2**62, 2**64])
 @pytest.mark.parametrize("seed", [0, MASK64, trial_seed(2026, 17)])
 def test_block_kernel_matches_draw_by_draw_reference(base, seed):
     k = reference_k(base)
     counts = {0, 1, k - 1, k, k + 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 7, LANES * k - 1, LANES * k + 1}
+    # the last draw ends inside a chunk, in the first block and in the second
+    chunk = max(c for c in range(1, 9) if base**c <= 256) if base <= 16 else 1
+    counts |= {5 * k + r for r in range(1, k)} | {(LANES + 2) * k + r for r in range(1, chunk)}
     reference = reference_digits(base, max(counts), seed)
     for count in sorted(counts):
         assert uniform_digits(base, count, seed) == reference[:count], count
         if count:
-            assert _trial_mean(base, count, seed) == Fraction(sum(reference[:count]), count), count
+            assert _trial_sum(base, count, seed) == sum(reference[:count]), count
         if base <= 10 and count:
             trial = uniform_digit_trial(base, count, seed)
             expected = Counter(reference[:count])
@@ -167,6 +174,25 @@ def test_trial_never_holds_its_digits():
         tracemalloc.stop()
     assert stats.n == 10**6
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("base", [3, 2**64])
+def test_trial_sum_never_holds_its_digits(base):
+    tracemalloc.start()
+    try:
+        _trial_sum(base, 10**6, seed=trial_seed(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("base", range(2, 17))
+def test_chunk_sums_are_digit_sums_of_every_byte(base):
+    def digit_sum(v):
+        return 0 if v == 0 else v % base + digit_sum(v // base)
+
+    assert _chunk_sums(base) == bytes(digit_sum(v) for v in range(256))
 
 
 def test_lane_constants_are_built_on_first_use():
@@ -249,6 +275,60 @@ def test_summary_fields_and_json():
     assert payload["config"]["trials"] == 10
     assert len(payload["per_trial"]) == 10
     assert payload["band"] == "1/10"
+
+
+@pytest.mark.parametrize("base,depth,trials", [(3, 1000, 30), (2, 64, 4), (10, 37, 9), (17, 50, 1), (2**64, 3, 5)])
+def test_aggregates_match_fraction_formulas(base, depth, trials):
+    cfg = ExperimentConfig(base=base, depth=depth, trials=trials, master_seed=11)
+    r_values = normality_experiment(cfg, 0).r_values
+    center = Fraction(base - 1, 2)
+    # no band, every trial's own distance (a trial on the band's edge is in it), and all trials
+    for band in {Fraction(0), *(abs(r - center) for r in r_values), Fraction(base)}:
+        summary = normality_experiment(cfg, band)
+        mean = sum(r_values, Fraction(0)) / trials
+        variance = sum(((r - mean) ** 2 for r in r_values), Fraction(0)) / (trials - 1) if trials > 1 else 0
+        hits = sum(1 for r in r_values if abs(r - center) <= band)
+        assert summary.r_values == r_values
+        assert all(type(r) is Fraction for r in r_values)
+        assert (summary.mean, summary.variance, summary.fraction_in_band) == (mean, variance, Fraction(hits, trials))
+
+
+def stddev_oracle(variance, digits=20):
+    """sqrt(variance) to 60 digits, then rounded half-even to `digits`.
+
+    Rounding twice errs only where the root's digits past `digits`, up to the 60th, read 50...0.
+    """
+    wide = Context(prec=60)
+    root = wide.sqrt(wide.divide(Decimal(variance.numerator), Decimal(variance.denominator)))
+    return str(Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(root))
+
+
+def stddev_of(variance, digits=20):
+    cfg = ExperimentConfig(base=3, depth=10, trials=2, master_seed=0)
+    summary = ExperimentSummary(cfg, Fraction(0), (Fraction(0), Fraction(0)), Fraction(0), variance, Fraction(0))
+    return summary.stddev_decimal(digits)
+
+
+def test_stddev_is_rounded_once():
+    # the golden case simulate-band: sqrt(133/12288) = 0.1040363768512405151863...
+    assert stddev_of(Fraction(133, 12288)) == "0.10403637685124051519"
+    summary = normality_experiment(ExperimentConfig(base=2, depth=10**4, trials=200, master_seed=1), 0)
+    assert summary.stddev_decimal() == stddev_oracle(summary.variance) == "0.0050626923935152117752"
+    rng = random.Random(2026)
+    for _ in range(5000):
+        variance = Fraction(rng.randrange(10**12), rng.randrange(1, 10**12))
+        assert stddev_of(variance) == stddev_oracle(variance), variance
+    for _ in range(300):
+        variance = Fraction(rng.randrange(1, 10**40), rng.randrange(1, 10**3)) / 10 ** rng.randrange(80)
+        digits = rng.randrange(1, 25)
+        assert stddev_of(variance, digits) == stddev_oracle(variance, digits), (variance, digits)
+    # exact squares render as their exact quotient does, and a rational root can be a midpoint
+    for variance, digits, text in [
+        (0, 20, "0"), (Fraction(1, 4), 20, "0.5"), (Fraction(1, 16), 20, "0.25"), (Fraction(1, 100), 20, "0.1"),
+        (100, 20, "10"), (Fraction(4, 25), 20, "0.4"), (Fraction(1, 9), 20, "0.33333333333333333333"),
+        (Fraction(1, 64), 2, "0.12"), (Fraction(9, 64), 2, "0.38"),
+    ]:
+        assert stddev_of(Fraction(variance), digits) == stddev_oracle(Fraction(variance), digits) == text, variance
 
 
 def test_experiment_validation():
