@@ -17,7 +17,6 @@ usage errors, including an unreadable ``--digits-file`` or an unwritable
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -27,15 +26,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .core import DigitStream, _digit_text, _probe_memory, expand_rational, format_expansion
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
-from .stats import (
-    FrequencyProfile,
-    _csv_text,
-    geometric_checkpoints,
-    running_stats,
-    stats_table,
-    stats_to_csv,
-    stats_to_json,
-)
 
 __all__ = ["run_cli"]
 
@@ -69,6 +59,8 @@ def _checkpoint_spec(text: str) -> Callable[[], list[int]]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected geometric:start,factor,max")
         start, factor, max_depth = int(parts[0]), parse_rational(parts[1]), int(parts[2])
+        from .stats import geometric_checkpoints
+
         return lambda: geometric_checkpoints(start, factor, max_depth)
     if kind == "list":
         try:
@@ -131,16 +123,21 @@ def _view_text(output: _Output, fmt: str) -> str:
     if isinstance(data, str):
         return data
     if fmt == "json":
+        import json
+
         return json.dumps(data, indent=2) + "\n"
     if isinstance(data, _Table):
         lines = [list(data.header), *([str(cell) for cell in row] for row in data.rows)]
-        if fmt == "csv":
-            return _csv_text(lines)
-        widths = [max(map(len, column)) for column in zip(*lines)]
-        return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+    elif fmt == "csv":
+        lines = [("field", "value"), *data]
+    else:
+        return "".join(f"{field}: {value}\n" for field, value in data)
     if fmt == "csv":
-        return _csv_text([("field", "value"), *data])
-    return "".join(f"{field}: {value}\n" for field, value in data)
+        from .stats import _csv_text
+
+        return _csv_text(lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
 
 
 def _stream_output(stream: DigitStream) -> _Output:
@@ -154,8 +151,10 @@ def _stream_output(stream: DigitStream) -> _Output:
 
 
 # ---------------------------------------------------------------- handlers
-# A handler imports `construct` or `simulate` itself, so that a subcommand
-# loads only the layers it runs.
+# A handler imports `stats`, `construct` or `simulate` itself, so that a
+# subcommand loads only the layers it runs: only `stats`, quota
+# `construct-freq` and `simulate` load `stats` (and through it `csv`, also
+# loaded by any CSV output), and only JSON output loads `json`.
 
 
 def _cmd_digits(args) -> _Output:
@@ -183,6 +182,8 @@ def _cmd_digits(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
+    from .stats import running_stats, stats_table, stats_to_csv, stats_to_json
+
     path = None if args.digits_file == "-" else args.digits_file
     try:
         if path is None:  # stdin is read whole, as bytes, and checked as a file is
@@ -211,18 +212,20 @@ def _cmd_construct_freq(args) -> _Output:
     if args.rule == "quota":
         if args.tau is None:
             raise _UsageError("--rule quota requires --tau")
+        from .stats import FrequencyProfile
+
         return _stream_output(_quota_stream(FrequencyProfile(len(args.tau), args.tau), args.count))
     if args.a is None or args.b is None:
         raise _UsageError("--rule beatty requires --a and --b")
     return _stream_output(_beatty_stream(args.a, args.b, args.count))
 
 
-# bytes one block adds to the spec output's peak (VmHWM at 1e5 blocks, Python 3.11): table 921, CSV 877, JSON 1,737
-_SPEC_BYTES = {"table": 1000, "csv": 1000, "json": 1900}
+# bytes one block adds to the spec output's peak (VmHWM at 1e5 blocks, Python 3.11): table 919, CSV 897, JSON 1,611
+_SPEC_BYTES = {"table": 1000, "csv": 1000, "json": 1750}
 
 
 def _cmd_construct_mean_nofreq(args) -> _Output:
-    from .construct import blockspec_table, construct_mean_without_frequency
+    from .construct import _BLOCKSPEC_HEADER, blockspec_table, construct_mean_without_frequency
 
     if args.emit == "spec":  # fails at once when the spec cannot fit, before the schedule is built
         _probe_memory(_SPEC_BYTES[args.format] * max(args.blocks, 0), f"the spec of {args.blocks} blocks")
@@ -231,13 +234,18 @@ def _cmd_construct_mean_nofreq(args) -> _Output:
     )
     if args.emit == "digits":
         return _stream_output(stream)
-    header, rows = blockspec_table(spec)
-    table = _Table(header, rows)
+
+    def table() -> _Table:
+        return _Table(*blockspec_table(spec))
+
     return _Output(
         json=lambda: {
             "theta": ratio_str(spec.theta),
             "blocks": spec.blocks,
-            "rows": [dict(zip(header, row)) for row in rows],
+            "rows": [
+                dict(zip(_BLOCKSPEC_HEADER, (k, *counts, ratio_str(alpha))))
+                for k, (alpha, counts) in enumerate(zip(spec.alphas, spec.rows), start=1)
+            ],
         },
         table=table,
         csv=table,

@@ -30,12 +30,14 @@ from fractions import Fraction
 from itertools import accumulate, chain, cycle, repeat
 from math import lcm
 from operator import mul, sub
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import DigitStream, _probe_memory, _Record, _repeated, _run_chunks, _set
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
-from .stats import FrequencyProfile
+
+if TYPE_CHECKING:  # annotations only: the constructors never load `stats`
+    from .stats import FrequencyProfile
 
 __all__ = [
     "beatty_indicator",
@@ -381,13 +383,16 @@ def block_boundaries(spec: BlockSpec) -> tuple[int, ...]:
     return tuple(accumulate(map(sum, spec.rows)))
 
 
+_BLOCKSPEC_HEADER = ("k", "a_k1", "a_k2", "a_k3", "alpha_k")
+
+
 def blockspec_table(spec: BlockSpec) -> tuple[list[str], list[list]]:
     """Header and rows `k,a_k1,a_k2,a_k3,alpha_k`: run lengths as ints, alpha as p/q."""
     rows = [
         [k, zeros, ones, twos, ratio_str(alpha)]
         for k, (alpha, (zeros, ones, twos)) in enumerate(zip(spec.alphas, spec.rows), start=1)
     ]
-    return ["k", "a_k1", "a_k2", "a_k3", "alpha_k"], rows
+    return list(_BLOCKSPEC_HEADER), rows
 
 
 def no_mean_example(count: int) -> list[int]:

@@ -697,6 +697,7 @@ _NOT_DIGIT_TEXT = re.compile(f"[^0-9{_SPACE.decode()}]")
 _NOT_TOKEN_TEXT = re.compile(f"[^0-9,{_SPACE.decode()}]")
 _CHAR_TO_DIGIT = bytes.maketrans(_DIGIT_CHARS, bytes(range(10)))
 _DIGIT_TO_CHAR = bytes.maketrans(bytes(range(10)), _DIGIT_CHARS)
+_RUN_TEXT = tuple("0123456789")  # the text of each digit up to base 10, which a run repeats
 
 
 def digits_to_text(digits: Iterable[int], base: int) -> str:
@@ -711,23 +712,31 @@ def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
     """The digit-text format of the digits of `chunks`, one str per piece (see `_pieces`).
 
     Joined, the strs are `digits_to_text` of all the digits: up to base
-    10 each ``bytes`` piece is translated to ASCII digits, and a repeat
-    of one piece is its unit's text repeated; above, the tokens of a
+    10 a run of one piece is its digit's text from `_RUN_TEXT` repeated, a
+    repeat of one piece is its unit's text repeated, and each other
+    ``bytes`` piece is translated to ASCII digits; above, the tokens of a
     piece are joined by commas, with one more comma before every piece
-    but the first that holds a digit, and a piece that is the previous
-    piece object again, as a repeat's pieces are, is not rendered again.
+    but the first that holds a digit. In every base a piece that is the
+    previous piece object again, as a repeat's pieces are, is not
+    rendered again.
     """
+    previous = text = None
     if base <= 10:
         for chunk in chunks:
             if chunk.__class__ is _Repeat and chunk.length <= _CHUNK_DIGITS:  # one piece, as most runs are
-                unit, length = chunk.unit.translate(_DIGIT_TO_CHAR).decode("ascii"), chunk.length  # a char a digit
-                yield (unit * -(-length // len(unit)))[:length]
-            else:
-                for piece in _pieces((chunk,)):
-                    yield piece.translate(_DIGIT_TO_CHAR).decode("ascii")
+                unit, length = chunk.unit, chunk.length
+                if len(unit) == 1:
+                    yield _RUN_TEXT[unit[0]] * length
+                else:
+                    unit = unit.translate(_DIGIT_TO_CHAR).decode("ascii")  # a char a digit
+                    yield (unit * -(-length // len(unit)))[:length]
+                continue
+            for piece in _pieces((chunk,)):
+                if piece is not previous:
+                    previous, text = piece, piece.translate(_DIGIT_TO_CHAR).decode("ascii")
+                yield text
         return
     comma = ""
-    previous = text = None
     for piece in _pieces(chunks):
         if piece:
             if piece is not previous:

@@ -21,7 +21,6 @@ means at large depth should concentrate tightly around that center.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -371,6 +370,8 @@ def normality_experiment(cfg: ExperimentConfig, band, workers: int = 1) -> Exper
 
 def summary_to_json(summary: ExperimentSummary) -> str:
     """Deterministic JSON rendering of an experiment summary."""
+    import json  # here, so that only JSON output loads it
+
     payload = {
         "config": {
             "base": summary.config.base,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -462,6 +461,8 @@ def stats_to_csv(rows: Sequence[PartialStats]) -> str:
 
 def stats_to_json(rows: Sequence[PartialStats]) -> str:
     """JSON mirror of the CSV columns."""
+    import json  # here, so that only JSON output loads it
+
     base = _stats_base(rows)
     body = []
     for row in rows:

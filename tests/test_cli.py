@@ -378,38 +378,56 @@ def test_stats_non_utf8_or_non_ascii_file_is_domain(capsys, tmp_path, data):
 
 _IMPORT_CHILD = """
 import sys
+bare = set(sys.modules)  # what the interpreter and its `site` load differs from host to host
 if len(sys.argv) > 1:
     from digitstats.cli import run_cli
     assert run_cli(sys.argv[1:]) == 0
 else:
     import digitstats
-print(*sys.modules)
+print(*set(sys.modules) - bare)
 """
 # no run below needs these: the process pool serves only `simulate --workers` above 1
 _UNNEEDED = {"dataclasses", "concurrent.futures.process"}
 _NO_SIMULATE = {"digitstats.simulate", *_UNNEEDED}
 _NO_CONSTRUCT = {"digitstats.construct", *_UNNEEDED}
+# a run that counts no digit and writes no CSV or JSON loads none of these
+_NO_OUTPUT_LAYERS = {"digitstats.stats", "csv", "json", *_NO_SIMULATE}
 _SUBMODULES = {f"digitstats.{name}" for name in ("cli", "construct", "core", "errors", "rationals", "simulate", "stats")}
+_BLOCKS = ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20", "--blocks", "5"]
 # (arguments, modules the run must not load); no arguments: a bare `import digitstats`
 IMPORT_TABLE = [
-    ([], _SUBMODULES),
-    (["stats", "--base", "3", "--digits-file", "{digits}"], _NO_SIMULATE | _NO_CONSTRUCT),
-    (["digits", "--base", "3", "--rational", "1/4", "--count", "5"], _NO_SIMULATE | _NO_CONSTRUCT),
-    (["construct-freq", "--tau", "1/2,1/2", "--count", "6"], _NO_SIMULATE),
-    (["construct-freq", "--rule", "beatty", "--a", "1/3", "--b", "1/3", "--count", "6"], _NO_SIMULATE),
-    (
-        ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20", "--blocks", "5"]
-        + ["--emit", "digits"],
-        _NO_SIMULATE,
+    pytest.param([], _SUBMODULES, id="import"),
+    pytest.param(["stats", "--base", "3", "--digits-file", "{digits}"], _NO_SIMULATE | _NO_CONSTRUCT, id="stats"),
+    pytest.param(
+        ["stats", "--base", "3", "--digits-file", "{digits}", "--format", "csv"],
+        {"json", *_NO_SIMULATE, *_NO_CONSTRUCT},
+        id="stats-csv",
     ),
-    (["no-mean-example", "--count", "6"], _NO_SIMULATE),
-    (["floor-average", "--x", "1/3", "--n", "5"], _NO_SIMULATE),
-    (["schedule", "--x1", "1/4", "--x2", "3/4", "--eps", "1/10", "--n", "20"], _NO_SIMULATE),
-    (["simulate", "--base", "3", "--n", "10", "--trials", "2", "--seed", "1", "--workers", "1"], _NO_CONSTRUCT),
+    pytest.param(
+        ["digits", "--base", "3", "--rational", "1/4", "--count", "5"], _NO_OUTPUT_LAYERS | _NO_CONSTRUCT, id="digits"
+    ),
+    pytest.param(["construct-freq", "--tau", "1/2,1/2", "--count", "6"], _NO_SIMULATE, id="construct-freq0"),
+    pytest.param(
+        ["construct-freq", "--rule", "beatty", "--a", "1/3", "--b", "1/3", "--count", "6"],
+        _NO_OUTPUT_LAYERS,
+        id="construct-freq1",
+    ),
+    pytest.param([*_BLOCKS, "--emit", "digits"], _NO_OUTPUT_LAYERS, id="construct-mean-nofreq"),
+    pytest.param([*_BLOCKS, "--emit", "spec"], _NO_OUTPUT_LAYERS, id="construct-mean-nofreq-spec"),
+    pytest.param(["no-mean-example", "--count", "6"], _NO_OUTPUT_LAYERS, id="no-mean-example"),
+    pytest.param(["floor-average", "--x", "1/3", "--n", "5"], _NO_OUTPUT_LAYERS, id="floor-average"),
+    pytest.param(
+        ["schedule", "--x1", "1/4", "--x2", "3/4", "--eps", "1/10", "--n", "20"], _NO_OUTPUT_LAYERS, id="schedule"
+    ),
+    pytest.param(
+        ["simulate", "--base", "3", "--n", "10", "--trials", "2", "--seed", "1", "--workers", "1"],
+        _NO_CONSTRUCT,
+        id="simulate",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, unloaded", IMPORT_TABLE, ids=[(argv or ["import"])[0] for argv, _ in IMPORT_TABLE])
+@pytest.mark.parametrize("argv, unloaded", IMPORT_TABLE)
 def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, unloaded):
     digits = tmp_path / "digits.txt"
     digits.write_text("0120\n")

@@ -619,6 +619,44 @@ def test_digit_text_round_trip(base, digits, text):
     assert text_to_digits(text, base) == digits
 
 
+def random_chunks(rng, base, chunk):
+    """Chunks of every kind `_digit_text` meets, with their digits written out here, not by `_pieces`.
+
+    Literal bytes (empty ones, and one object given twice in a row), runs
+    of one digit and repeats of longer units, each as long as a piece, as
+    `chunk`, or shorter or longer; a unit longer than `chunk` too.
+    """
+    chunks, digits = [], []
+    for _ in range(12):
+        kind = rng.randrange(4)
+        if kind == 0:
+            literal = bytes(rng.randrange(base) for _ in range(rng.randrange(3 * chunk)))
+            parts = [literal] * rng.randint(1, 2)
+            expected = list(literal) * len(parts)
+        else:
+            unit = bytes(rng.randrange(base) for _ in range(1 if kind == 1 else rng.randint(2, 2 * chunk + 1)))
+            length = rng.choice([0, 1, chunk - 1, chunk, chunk + 1, rng.randrange(5 * chunk)])
+            parts = [core._Repeat(core._RUN_UNITS[unit[0]] if len(unit) == 1 else unit, length)]
+            expected = (list(unit) * (length // len(unit) + 1))[:length]
+        chunks += parts
+        digits += expected
+    return chunks, digits
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+@pytest.mark.parametrize("chunk", [1, 3, 7, None])
+def test_digit_text_matches_each_digit_written_alone(monkeypatch, base, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK_DIGITS", chunk)
+    rng = random.Random(base * 100 + (chunk or 0))
+    for _ in range(20 if chunk else 1):  # at the real piece size a chunk holds up to 5 * 65,536 digits
+        chunks, digits = random_chunks(rng, base, chunk or core._CHUNK_DIGITS)
+        text = "".join(map(str, digits))
+        assert "".join(core._digit_text(chunks, base)) == text
+        for n in sorted({0, 1, len(digits) - 1, len(digits), *rng.sample(range(len(digits) + 1), min(8, len(digits)))}):
+            assert "".join(core._digit_text(core._first(chunks, n), base)) == text[:n], n
+
+
 def test_text_to_digits_ignores_ascii_whitespace():
     assert text_to_digits(" 01\n2\t\r\v\f0", 3) == (0, 1, 2, 0)
     assert text_to_digits("10,11 2\n,3\t0", 12) == (10, 11, 2, 3, 0)
