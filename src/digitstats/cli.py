@@ -3,13 +3,14 @@
 Every subcommand maps 1:1 onto a library operation and adds no
 computation of its own; outputs are deterministic byte-for-byte given
 identical arguments. A handler only builds data (a table, a list of
-``(field, value)`` pairs or text the library rendered, plus its JSON
+``(field, value)`` pairs or text the library renders, plus its JSON
 document, and any digit stream they show) and ``_render`` turns that
 into the requested format. Digit text is written a chunk at a time as
-the stream makes it, so its memory does not grow with ``--count``. Exit
-codes: 0 success, 1 domain/infeasible errors or running out of memory, 2
-usage errors, including an unreadable ``--digits-file`` or an unwritable
-``--out``. Errors are one-line and machine-parsable with the prefixes
+the stream makes it, so its memory does not grow with ``--count``, and
+``stats`` CSV and JSON a row at a time. Exit codes: 0 success, 1
+domain/infeasible errors or running out of memory, 2 usage errors,
+including an unreadable ``--digits-file`` or an unwritable ``--out``.
+Errors are one-line and machine-parsable with the prefixes
 ``error: usage:``, ``error: domain:``, ``error: infeasible:``,
 ``error: memory:``.
 """
@@ -17,8 +18,10 @@ usage errors, including an unreadable ``--digits-file`` or an unwritable
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -90,10 +93,11 @@ class _Output(NamedTuple):
     """A subcommand's result, ready for any --format.
 
     A table or CSV view is a _Table, a list of (field, value) pairs, or
-    text already rendered (CSV the library wrote); the JSON view is a
-    payload or JSON text. A view that costs work the other formats do not
-    need is given as a function returning it, so only the requested view
-    is built. Where the bounded stream `digits` is given, each view holds
+    text already rendered; the JSON view is a payload or JSON text. Any
+    view may instead be an iterator of text pieces that the library makes
+    as they are written, as statistics rows are. A view that costs work
+    the other formats do not need is given as a function returning it, so
+    only the requested view is built. Where the bounded stream `digits` is given, each view holds
     its `_mark`, and the digit text is written there a chunk at a time, as
     it is made.
     """
@@ -105,8 +109,20 @@ class _Output(NamedTuple):
 
 
 def _render(output: _Output, fmt: str) -> Iterable[str]:
-    """The pieces of text to write, in order; the digit text is made as it is written."""
-    text = _view_text(output, fmt)
+    """The pieces of text to write, in order; digit text and streamed views are made as they are written.
+
+    A streamed view's first piece is made here, before anything is
+    opened, so the checks its generator runs first reject the run before
+    a byte is written.
+    """
+    data = getattr(output, fmt)
+    if callable(data):
+        data = data()
+    if data is None:
+        raise _UsageError("digit output supports --format table or json")
+    if isinstance(data, Iterator):
+        return chain((next(data),), data)
+    text = _view_text(data, fmt)
     digits = output.digits
     if digits is None:
         return (text,)
@@ -114,12 +130,7 @@ def _render(output: _Output, fmt: str) -> Iterable[str]:
     return chain((head,), _digit_text(digits._chunks(), digits.base), (tail,))
 
 
-def _view_text(output: _Output, fmt: str) -> str:
-    data = getattr(output, fmt)
-    if callable(data):
-        data = data()
-    if data is None:
-        raise _UsageError("digit output supports --format table or json")
+def _view_text(data: object, fmt: str) -> str:
     if isinstance(data, str):
         return data
     if fmt == "json":
@@ -133,11 +144,18 @@ def _view_text(output: _Output, fmt: str) -> str:
     else:
         return "".join(f"{field}: {value}\n" for field, value in data)
     if fmt == "csv":
-        from .stats import _csv_text
-
         return _csv_text(lines)
     widths = [max(map(len, column)) for column in zip(*lines)]
     return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+
+
+def _csv_text(lines: Iterable[Sequence[object]]) -> str:
+    """CSV with ``\n`` line ends; cells holding commas or quotes, such as ``<digits,>``, are quoted."""
+    import csv  # here, so that only these views load it
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue()
 
 
 def _stream_output(stream: DigitStream) -> _Output:
@@ -153,8 +171,9 @@ def _stream_output(stream: DigitStream) -> _Output:
 # ---------------------------------------------------------------- handlers
 # A handler imports `stats`, `construct` or `simulate` itself, so that a
 # subcommand loads only the layers it runs: only `stats`, quota
-# `construct-freq` and `simulate` load `stats` (and through it `csv`, also
-# loaded by any CSV output), and only JSON output loads `json`.
+# `construct-freq` and `simulate` load `stats`; only the CSV views that
+# `_csv_text` writes load `csv`, which statistics rows never need; and only
+# JSON output loads `json`, which statistics rows do not use either.
 
 
 def _cmd_digits(args) -> _Output:
@@ -182,7 +201,7 @@ def _cmd_digits(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    from .stats import running_stats, stats_table, stats_to_csv, stats_to_json
+    from .stats import _stats_pieces, running_stats, stats_table
 
     path = None if args.digits_file == "-" else args.digits_file
     try:
@@ -200,9 +219,9 @@ def _cmd_stats(args) -> _Output:
     except OSError as exc:
         raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
     return _Output(
-        json=lambda: stats_to_json(rows),
+        json=lambda: _stats_pieces(rows, "json"),
         table=lambda: _Table(*stats_table(rows, freq_decimals=False)),
-        csv=lambda: stats_to_csv(rows),
+        csv=lambda: _stats_pieces(rows, "csv"),
     )
 
 

@@ -105,16 +105,18 @@ _SERIAL_DRAWS = 100_000
 MAX_COUNTED_BASE = 256
 
 
-@cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ONES, GOLDEN_GAMMA*RAMP, LOW) over LANES 128-bit lanes.
+@lru_cache(maxsize=16)  # once per base, not once per trial or block
+def _lane_constants(power: int) -> tuple[int, int, int, int]:
+    """(ONES, GOLDEN_GAMMA*RAMP, LOW, GAPS) over LANES 128-bit lanes for draws of k digits, base**k = `power`.
 
-    Lane i (from the least significant end) holds 1, (i+1)*GOLDEN_GAMMA and
-    2**64 - 1 respectively. Built on first use, not at import.
+    Lane i (from the least significant end) holds 1, (i+1)*GOLDEN_GAMMA,
+    2**64 - 1 and 2**64 - (2**64 mod power) respectively: adding GAPS to
+    the low 64 bits of each draw times `power` carries into a lane's bit
+    64 iff its draw is accepted. Built on first use, not at import.
     """
     ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * LANES, "little")
     ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, LANES + 1)), "little")
-    return ones, GOLDEN_GAMMA * ramp, ones * MASK64
+    return ones, GOLDEN_GAMMA * ramp, ones * MASK64, ((1 << 64) - (1 << 64) % power) * ones
 
 
 @lru_cache(maxsize=64)  # about 0.1 ms to compute; once per trial otherwise
@@ -155,19 +157,18 @@ def _digit_blocks(base: int, count: int, seed: int, width: int = 1) -> Iterator[
     """
     k = _digits_per_draw(base)
     power = base**k
-    gap = (1 << 64) - (1 << 64) % power  # adding it carries into bit 64 iff a draw is accepted
-    ones, gamma_ramp, low = _lane_constants()
+    ones, gamma_ramp, low, gaps = _lane_constants(power)
     state = seed & MASK64
     while count > 0:
         lanes = min(-(-count // k), LANES)
         if lanes < LANES:
             keep = (1 << (128 * lanes)) - 1
-            ones, gamma_ramp, low = ones & keep, gamma_ramp & keep, low & keep
+            ones, gamma_ramp, low, gaps = ones & keep, gamma_ramp & keep, low & keep, gaps & keep
         z = (state * ones + gamma_ramp) & low
         z = ((z ^ (z >> 30)) & low) * _MIX_MULT_1 & low
         z = ((z ^ (z >> 27)) & low) * _MIX_MULT_2 & low
         z = (z ^ (z >> 31)) & low
-        accepted = ((z * power & low) + gap * ones) >> 64 & ones
+        accepted = ((z * power & low) + gaps) >> 64 & ones
         if accepted != ones:
             z &= accepted * MASK64
         state = (state + lanes * GOLDEN_GAMMA) & MASK64

@@ -11,14 +11,12 @@ that is evidence, not proof.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import ceil
 from operator import index
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _Repeat, _set
 from .errors import DomainError, Infeasible
@@ -413,6 +411,13 @@ def _stats_base(rows: Sequence[PartialStats]) -> int:
     return base
 
 
+def _stats_header(base: int, freq_decimals: bool = True) -> list[str]:
+    header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
+    if freq_decimals:
+        header += [f"v{i}_dec" for i in range(base)]
+    return header + ["r_dec", "truncated"]
+
+
 def stats_table(
     rows: Sequence[PartialStats], freq_decimals: bool = True
 ) -> tuple[list[str], list[list[str]]]:
@@ -422,11 +427,7 @@ def stats_table(
     mean ``r`` as exact ``p/q``, then decimal twins ``v<i>_dec`` (only
     with `freq_decimals`) and ``r_dec``, and the truncation flag.
     """
-    base = _stats_base(rows)
-    header = ["n", *(f"N{i}" for i in range(base)), *(f"v{i}" for i in range(base)), "r"]
-    if freq_decimals:
-        header += [f"v{i}_dec" for i in range(base)]
-    header += ["r_dec", "truncated"]
+    header = _stats_header(_stats_base(rows), freq_decimals)
     body = []
     for row in rows:
         numerators, exact, decimals = _row_cells(row, freq_decimals)
@@ -439,43 +440,59 @@ def _row_cells(row: PartialStats, freq_decimals: bool = True) -> tuple[list[int]
 
     The cells are built from the integers, so no `Fraction` is made for
     them; the frequencies' decimal twins are left out without
-    `freq_decimals`. `stats_table` and `stats_to_json` share this path.
+    `freq_decimals`. `stats_table` and `_stats_pieces` share this path.
     """
     numerators = [*row.counts, sum(i * c for i, c in enumerate(row.counts))]
     decimals = _decimal_texts(numerators if freq_decimals else numerators[-1:], row.n)
     return numerators, _ratio_texts(numerators, row.n), decimals
 
 
-def _csv_text(lines: Iterable[Sequence[object]]) -> str:
-    """CSV with ``\n`` line ends; cells holding commas or quotes are quoted."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(lines)
-    return out.getvalue()
+_ITEM = ",\n        "  # between the items of a list in a JSON row
+_QUOTED = '",\n        "'  # between the string items of a list in a JSON row
+
+
+def _stats_pieces(rows: Sequence[PartialStats], fmt: str) -> Iterator[str]:
+    """The text of `rows` as ``csv`` or ``json``: a head, each row's text as it is made, a tail.
+
+    Nothing of a row outlives it but its text. A CSV row is its cells
+    joined by commas: every cell is an int, ``p/q``, a decimal or
+    ``true``/``false``, so none needs quoting. The JSON text is the same
+    bytes as ``json.dumps(payload, indent=2) + "\n"`` of the payload
+    ``{"base": ..., "rows": [...]}``: its strings need no escape, and its
+    lists have one entry per digit, so none is empty. The rows are
+    checked before the head is made.
+    """
+    base = _stats_base(rows)
+    as_json = fmt == "json"
+    yield f'{{\n  "base": {base},\n  "rows": [' if as_json else ",".join(_stats_header(base)) + "\n"
+    separator = "\n"
+    for row in rows:
+        numerators, exact, decimals = _row_cells(row)
+        flag = "true" if row.truncated else "false"
+        if not as_json:
+            yield f"{row.n},{','.join(map(str, numerators[:-1]))},{','.join(exact)},{','.join(decimals)},{flag}\n"
+            continue
+        yield (
+            f"{separator}    {{\n"
+            f'      "n": {row.n},\n'
+            f'      "counts": [\n        {_ITEM.join(map(str, numerators[:-1]))}\n      ],\n'
+            f'      "freqs": [\n        "{_QUOTED.join(exact[:-1])}"\n      ],\n'
+            f'      "freqs_decimal": [\n        "{_QUOTED.join(decimals[:-1])}"\n      ],\n'
+            f'      "mean": "{exact[-1]}",\n'
+            f'      "mean_decimal": "{decimals[-1]}",\n'
+            f'      "truncated": {flag}\n'
+            "    }"
+        )
+        separator = ",\n"
+    if as_json:
+        yield "\n  ]\n}\n"
 
 
 def stats_to_csv(rows: Sequence[PartialStats]) -> str:
     """CSV of :func:`stats_table`: `n,N0..,v0..,r`, decimal twins, truncation flag."""
-    header, body = stats_table(rows)
-    return _csv_text([header, *body])
+    return "".join(_stats_pieces(rows, "csv"))
 
 
 def stats_to_json(rows: Sequence[PartialStats]) -> str:
     """JSON mirror of the CSV columns."""
-    import json  # here, so that only JSON output loads it
-
-    base = _stats_base(rows)
-    body = []
-    for row in rows:
-        numerators, exact, decimals = _row_cells(row)
-        body.append(
-            {
-                "n": row.n,
-                "counts": numerators[:-1],
-                "freqs": exact[:-1],
-                "freqs_decimal": decimals[:-1],
-                "mean": exact[-1],
-                "mean_decimal": decimals[-1],
-                "truncated": row.truncated,
-            }
-        )
-    return json.dumps({"base": base, "rows": body}, indent=2) + "\n"
+    return "".join(_stats_pieces(rows, "json"))

@@ -329,6 +329,19 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_row_check_writes_no_byte_of_the_streamed_rows(capsys, monkeypatch, tmp_path, fmt):
+    # the row writer checks the rows before its first piece, which the CLI makes before it opens --out
+    monkeypatch.setattr(digitstats.stats, "running_stats", lambda stream, marks: [])
+    digits = tmp_path / "digits.txt"
+    digits.write_text("0120\n")
+    out = tmp_path / "out.txt"
+    for extra in ([], ["--out", str(out)]):
+        code, text, err = run(capsys, ["stats", "--base", "3", "--digits-file", str(digits), "--format", fmt, *extra])
+        assert (code, text, err) == (1, "", "error: domain: no statistics rows to export\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,base",
     [("12²", "10"), ("1٣", "10"), ("1,٣", "16"), ("1_0", "16"), ("+2", "16")],
@@ -397,11 +410,19 @@ _BLOCKS = ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5"
 # (arguments, modules the run must not load); no arguments: a bare `import digitstats`
 IMPORT_TABLE = [
     pytest.param([], _SUBMODULES, id="import"),
-    pytest.param(["stats", "--base", "3", "--digits-file", "{digits}"], _NO_SIMULATE | _NO_CONSTRUCT, id="stats"),
+    # statistics rows are written without `csv` or `json` in every format
+    pytest.param(
+        ["stats", "--base", "3", "--digits-file", "{digits}"], {"csv", "json", *_NO_SIMULATE, *_NO_CONSTRUCT}, id="stats"
+    ),
     pytest.param(
         ["stats", "--base", "3", "--digits-file", "{digits}", "--format", "csv"],
-        {"json", *_NO_SIMULATE, *_NO_CONSTRUCT},
+        {"csv", "json", *_NO_SIMULATE, *_NO_CONSTRUCT},
         id="stats-csv",
+    ),
+    pytest.param(
+        ["stats", "--base", "3", "--digits-file", "{digits}", "--format", "json"],
+        {"csv", "json", *_NO_SIMULATE, *_NO_CONSTRUCT},
+        id="stats-json",
     ),
     pytest.param(
         ["digits", "--base", "3", "--rational", "1/4", "--count", "5"], _NO_OUTPUT_LAYERS | _NO_CONSTRUCT, id="digits"

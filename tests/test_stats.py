@@ -1,10 +1,13 @@
 """Tests for running statistics, the frequency/mean algebra, and verdicts."""
 
+import csv
 import decimal
+import io
 import itertools
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -695,6 +698,37 @@ def random_rows(rng, base):
             counts[rng.randrange(base)] += n - sum(counts)
         rows.append(PartialStats(base, n, counts, rng.random() < 0.2))
     return rows
+
+
+def reference_stats_csv(rows):
+    """Statistics CSV as `csv.writer` writes `stats_table`, which would quote any cell that needs it."""
+    out = io.StringIO()
+    header, body = stats_table(rows)
+    csv.writer(out, lineterminator="\n").writerows([header, *body])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 11, 300])
+def test_rows_joined_by_commas_match_the_csv_writer(base):
+    rng = random.Random(base + 1)
+    deep = PartialStats(base, 10**30, [10**30 - base + 1, *[1] * (base - 1)], truncated=True)
+    for _ in range(10):
+        rows = [*random_rows(rng, base), deep]
+        assert stats_to_csv(rows) == reference_stats_csv(rows)
+
+
+def test_csv_of_the_2000_block_rows_holds_no_table_of_cells():
+    spec, stream = construct_mean_without_frequency(1, Fraction(1, 5), Fraction(2, 5), Fraction(1, 20), 2000)
+    rows = running_stats(stream, sorted({d for d in block_boundaries(spec) if d >= 1}))
+    assert len(rows) == 1998
+    tracemalloc.start()
+    try:
+        text = stats_to_csv(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text is about 280 KB; a table of every cell before writing peaked at about 2.5 MiB
+    assert len(text) > 250_000 and peak < 1 << 20
 
 
 @pytest.mark.parametrize("base", [2, 3, 11, 257])
