@@ -9,7 +9,6 @@ integer arithmetic; values round-trip bit-exactly.
 from __future__ import annotations
 
 import codecs
-import decimal
 import functools
 import itertools
 import operator
@@ -82,7 +81,13 @@ def _check_base(base: int) -> int:
 
 
 def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chunk:
-    """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints.
+    """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints (see `_checked_word`)."""
+    word = _checked_word(digits, base, depth)
+    return tuple(word) if 10 < base <= 256 else word
+
+
+def _checked_word(digits: Sequence, base: int, depth: int | None = None) -> Union[bytes, tuple]:
+    """`digits` checked: a bytes of their values up to base 256, else a tuple of ints.
 
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
@@ -96,7 +101,7 @@ def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chu
         if base <= 256:
             values = bytes(bytearray(digits))
             if not values.translate(None, _BYTE_VALUES[:base]):
-                return values if base <= 10 else tuple(values)
+                return values
         else:
             values = tuple(map(operator.index, digits))
             if not values or (min(values) >= 0 and max(values) < base):
@@ -191,7 +196,7 @@ class DigitStream:
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
         """The digits of `digits`, checked here and held as one chunk (see `_check_digits`)."""
         b = _check_base(base)
-        data = _check_digits(digits if isinstance(digits, (list, tuple)) else tuple(digits), b)
+        data = _check_digits(_reread(digits), b)
         return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
@@ -453,23 +458,29 @@ class RadixExpansion(_Record):
 
     def __init__(self, base: int, preperiod: Sequence[int], period: Sequence[int]) -> None:
         b = _check_base(base)
-        preperiod = tuple(_check_digits(tuple(preperiod), b))
-        period = tuple(_check_digits(tuple(period), b))
-        if not period:
+        preperiod = tuple(_checked_word(_reread(preperiod), b))
+        word = _checked_word(_reread(period), b)  # the checks below compare bytes up to base 256
+        period = tuple(word)
+        if not word:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
-        if period.count(b - 1) == len(period):
+        if word.count(b - 1) == len(word):
             raise DomainError(f"period of all {b - 1}s is the non-canonical twin representation")
-        width = _root(period)
-        if width < len(period):
+        width = _root(word)
+        if width < len(word):
             raise DomainError(f"period {period} is a repetition of {period[:width]}")
-        if preperiod and preperiod[-1] == period[-1]:
+        if preperiod and preperiod[-1] == word[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
         _set(self, "base", b)
         _set(self, "preperiod", preperiod)
         _set(self, "period", period)
 
 
-def _root(word: tuple) -> int:
+def _reread(digits: Iterable[int]) -> Sequence[int]:
+    """`digits` as a sequence `_check_digits` can read twice: bytes, a tuple and a list as they are."""
+    return digits if isinstance(digits, (bytes, tuple, list)) else tuple(digits)
+
+
+def _root(word: Sequence[int]) -> int:
     """The length of the shortest word that `word` is a power of: ``len(word)`` when it is primitive.
 
     A word of length n is a proper power exactly when it equals its rotation by
@@ -510,9 +521,6 @@ def _probe_memory(size: int, what: str) -> None:
 
 _DIVISION_DIGITS = 256  # period digits walked one at a time, each with a remainder compare
 _BABY_STEPS = 1 << 16  # most baby steps of the order search, for a modulus of up to 64 bits
-_FORMAT_CODES = {2: "b", 8: "o", 16: "x"}  # bases whose digits `format` renders in linear time
-_FORMAT_TO_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-_VALUE_DIGITS = 600  # digits per piece `_digits_value` reads as text, below the smallest int-string limit, 640
 
 
 def _order(base: int, modulus: int) -> int:
@@ -546,6 +554,18 @@ def _order(base: int, modulus: int) -> int:
     raise AssertionError("unreachable: the giant steps end at the order")
 
 
+def _strip_base(q: int, base: int) -> tuple[int, int]:
+    """(m, rest): q divided m times by its gcd with `base`, until `rest` is coprime to it.
+
+    m is the preperiod length of a reduced fraction over q in `base`.
+    """
+    m = 0
+    while (common := gcd(q, base)) > 1:
+        q //= common
+        m += 1
+    return m, q
+
+
 def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     """Expand p/q in [0, 1) by exact long division.
 
@@ -568,13 +588,9 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
       the base modulo the reduced denominator with the base's primes
       removed; `_order` finds it without making a digit, and a period
       that cannot fit in memory raises MemoryError here.
-    * **One division.** The other ``left`` digits, read as one integer,
-      are the floor of ``remainder * base**left / q``. In base 10 a
-      ``decimal`` context precise enough for all of them, with rounding
-      trapped, divides and renders it (``sys.set_int_max_str_digits``
-      does not bound a ``Decimal``); in bases 2, 8 and 16 a shift, one
-      division and ``format`` do, in linear time. Other bases take one
-      division per digit, with no remainder compared, as L is known.
+    * **The rest.** `_periods.rest_of_period` makes the other
+      digits: in bases 2, 8, 10 and 16 by one exact division, in linear
+      time; other bases take one division per digit.
 
     The endpoint x = 1 is rejected: it has no digit string starting "0.",
     so this package works on [0, 1).
@@ -592,11 +608,7 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         raise DomainError(f"{p}/{q} lies outside [0, 1]")
     g = gcd(p, q)
     p, q = p // g, q // g
-    preperiod_length = 0
-    rest = q
-    while (common := gcd(rest, b)) > 1:
-        rest //= common
-        preperiod_length += 1
+    preperiod_length, rest = _strip_base(q, b)
     preperiod = []
     remainder = p
     for _ in range(preperiod_length):
@@ -625,64 +637,38 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
             target = first
     length = _order(b, rest)
     _probe_memory(8 * length, f"a period of {length} digits")
-    left = length - _DIVISION_DIGITS
-    if b == 10:
-        traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]  # none can occur at this precision
-        context = decimal.Context(left + q.bit_length(), Emax=decimal.MAX_EMAX, traps=traps)
-        tail = str(context.divide_int(decimal.Decimal(remainder).scaleb(left, context), q))
-    elif b in _FORMAT_CODES:
-        tail = format((remainder << (b.bit_length() - 1) * left) // q, _FORMAT_CODES[b])
-    else:
-        for _ in range(left):
-            remainder *= b
-            period.append(remainder // q)
-            remainder %= q
-        return _restore(RadixExpansion, (b, tuple(preperiod), tuple(period)))
-    tail = tail.zfill(left).encode("ascii").translate(_FORMAT_TO_DIGIT)
-    return _restore(RadixExpansion, (b, tuple(preperiod), tuple(bytes(period) + tail)))
+    from ._periods import rest_of_period
 
-
-def _digits_value(digits: Sequence[int], base: int) -> int:
-    """The integer whose base-`base` digits, most significant first, are `digits`.
-
-    Up to base 10 ``int()`` reads them as text, in pieces of _VALUE_DIGITS
-    cut from the end. Neighbouring values are then merged pairwise,
-    halving their number each round, so the large multiplications stay
-    balanced and the cost stays near-linear instead of quadratic in the
-    number of digits.
-    """
-    if base <= 10:
-        text = bytearray(digits).translate(_DIGIT_TO_CHAR)
-        cuts = range(-(-len(text) % _VALUE_DIGITS), len(text), _VALUE_DIGITS)
-        values = [int(text[max(cut, 0) : cut + _VALUE_DIGITS], base) for cut in cuts] or [0]
-        weight = base**_VALUE_DIGITS  # base ** (digits per value)
-    else:
-        values = list(digits) or [0]
-        weight = base
-    while len(values) > 1:
-        if len(values) % 2:
-            values.insert(0, 0)
-        values = [high * weight + low for high, low in zip(values[::2], values[1::2])]
-        if len(values) > 1:
-            weight *= weight
-    return values[0]
+    period = rest_of_period(period, remainder, q, b, length - _DIVISION_DIGITS)
+    return _restore(RadixExpansion, (b, tuple(preperiod), period))
 
 
 def evaluate_expansion(expansion: RadixExpansion) -> Fraction:
     """Exact value: the preperiod plus the geometric tail of the period.
 
     With m preperiod digits forming P and L period digits forming R, the
-    value is (P * (b^L - 1) + R) / ((b^L - 1) * b^m).
+    value is (P * (b^L - 1) + R) / ((b^L - 1) * b^m). Reading all the
+    digits as integers costs O((m + L)^1.58) (`_periods._digits_value`),
+    so a value with a denominator below 2^64 is read off its first K
+    digits instead, with b^K >= 2^129: they lie within b^-K of it, and by
+    Legendre's criterion (Hardy & Wright, Thm 184) no other fraction with
+    a denominator up to sqrt(b^K / 2) does, so ``limit_denominator``
+    finds it. That candidate p/q is returned only if q gives preperiod
+    length m and period length exactly L, which integer checks alone
+    decide (so no period too long to hold is expanded), and
+    ``expand_rational(p, q, b)`` then equals the expansion. Canonical
+    forms are unique, so this is exact, and it costs linear time. Any
+    other expansion is evaluated by the formula, after 15 to 40
+    microseconds spent on the candidate, mostly in ``limit_denominator``.
     """
-    b = expansion.base
-    scale = b ** len(expansion.period) - 1
-    numerator = _digits_value(expansion.preperiod, b) * scale + _digits_value(expansion.period, b)
-    return Fraction(numerator, scale * b ** len(expansion.preperiod))
+    from ._periods import expansion_value
+
+    return expansion_value(expansion)
 
 
 def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     """Stream emitting the `prefix` digits, then `tail` unchanged."""
-    pre = _check_digits(tuple(prefix), tail.base)
+    pre = _check_digits(_reread(prefix), tail.base)
     length = None if tail.length is None else tail.length + len(pre)
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
@@ -756,9 +742,15 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     the digits checks that they lie below the base. The text goes through
     the same byte reader as a digit file.
     """
+    return tuple(_text_digits(text, base))
+
+
+def _text_digits(text: str, base: int) -> Union[bytes, tuple]:
+    """The digits of `text` as `text_to_digits` reads them: a bytes of digit values up to base 10, else a tuple."""
     data = [_ascii(text, base)]
     _checked_length(lambda: data, base, None)
-    return tuple(itertools.chain.from_iterable(_digit_values(data, base)))
+    chunks = _digit_values(data, base)
+    return b"".join(chunks) if base <= 10 else tuple(itertools.chain.from_iterable(chunks))
 
 
 def _ascii(text: str, base: int) -> bytes:
@@ -892,4 +884,4 @@ def parse_expansion(text: str) -> RadixExpansion:
         b = int(base_text)
     except ValueError:  # longer than int() reads
         raise DomainError("expansion base too long") from None
-    return RadixExpansion(b, text_to_digits(pre_text, b), text_to_digits(per_text, b))
+    return RadixExpansion(b, _text_digits(pre_text, b), _text_digits(per_text, b))

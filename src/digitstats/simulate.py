@@ -28,13 +28,15 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, compress, islice, repeat
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import _Record, _set
 from .errors import DomainError
 from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
 from .rationals import decimal_str, ratio_str
-from .stats import PartialStats, _count_bytes
+
+if TYPE_CHECKING:  # annotations only: of this module, only `uniform_digit_trial` loads `stats`
+    from .stats import PartialStats
 
 __all__ = [
     "RNG_ID",
@@ -218,6 +220,8 @@ def uniform_digit_trial(base: int, depth: int, seed: int) -> PartialStats:
     Digits are counted one byte per lane, so `base` may be at most
     MAX_COUNTED_BASE (256); a larger base raises DomainError.
     """
+    from .stats import PartialStats, _count_bytes
+
     base, depth = _check_size(base, depth, "depth", 1)
     if base > MAX_COUNTED_BASE:
         raise DomainError(f"base must be <= {MAX_COUNTED_BASE} to count each digit value, got {base}")

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, count, islice, product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -35,6 +35,7 @@ from digitstats import (
     trial_seed,
     with_prefix,
 )
+from digitstats import _periods
 from digitstats.rationals import decimal_str
 
 
@@ -166,6 +167,29 @@ def test_expansion_primitivity_names_shortest_repeating_word():
     with pytest.raises(DomainError, match=r"is a repetition of \(0, 1\)$"):
         RadixExpansion(3, (), (0, 1) * 6)
     assert len(RadixExpansion(3, (), (1,) + (0,) * 719).period) == 720
+
+
+@pytest.mark.parametrize("base", [3, 12, 256, 300])
+def test_expansion_checks_read_bytes_tuples_and_lists_alike(base):
+    """Up to base 256 the canonical checks run on bytes; their messages name the digits as tuples in every base."""
+    top = base - 1
+    cases = [
+        ((), (), "period must be non-empty; use (0,) for terminating expansions"),
+        ((), (top, top), f"period of all {top}s is the non-canonical twin representation"),
+        ((), (0, 1, 0, 1), "period (0, 1, 0, 1) is a repetition of (0, 1)"),
+        ((1,), (2, 1), "preperiod suffix could be absorbed into the period"),
+        ((), (1, base), f"digit {base} out of range for base {base}"),
+    ]
+    kinds = [tuple, list, iter] + ([bytes] if base <= 255 else [])
+    for preperiod, period, message in cases:
+        for kind in kinds:
+            with pytest.raises(DomainError) as caught:
+                RadixExpansion(base, kind(preperiod), kind(period))
+            assert str(caught.value) == message, (kind, period)
+    for kind in kinds:
+        expansion = RadixExpansion(base, kind((2, 0)), kind((1, 0, 1, 1)))
+        assert (expansion.preperiod, expansion.period) == ((2, 0), (1, 0, 1, 1))
+        assert {type(d) for d in expansion.preperiod + expansion.period} == {int}
 
 
 def all_divisors_root(word: tuple) -> int:
@@ -326,6 +350,128 @@ def test_expand_rational_in_blocks_matches_long_division_oracle(monkeypatch):
                     if gcd(p, q) == 1:
                         expansion = expand_rational(p, q, base)
                         assert (expansion.preperiod, expansion.period) == expansions[p], (p, q, base, division_digits)
+
+
+def merged_value(expansion: RadixExpansion) -> Fraction:
+    """The value by the merge alone: the oracle for `evaluate_expansion`, which reads most values off leading digits.
+
+    (P * (b^L - 1) + R) / ((b^L - 1) * b^m), with the m preperiod digits
+    read as P and the L period digits as R by `_periods._digits_value`.
+    """
+    b, preperiod, period = expansion.base, expansion.preperiod, expansion.period
+    scale = b ** len(period) - 1
+    value = _periods._digits_value
+    return Fraction(value(preperiod, b) * scale + value(period, b), scale * b ** len(preperiod))
+
+
+def coprime_sample(q: int, rng: random.Random) -> list[int]:
+    """Every p in [0, q) coprime to q for q up to 30; above, 1, q - 1 and three at random."""
+    ps = [p for p in range(q) if gcd(p, q) == 1]
+    return ps if q <= 30 else sorted({ps[0], ps[-1], *rng.sample(ps, 3)})
+
+
+@pytest.mark.parametrize("bits", [18, 1])
+def test_evaluate_expansion_matches_the_merge_for_small_denominators(monkeypatch, bits):
+    """Every q <= 300 in bases 2-16, read from fewer leading digits than b**K >= 2**129 asks for.
+
+    At 18 bits every denominator up to 300 is read off the leading digits;
+    at 1 bit most candidates are wrong and must be rejected.
+    """
+    monkeypatch.setattr(_periods, "_LEGENDRE_BITS", bits)
+    rng = random.Random(300 + bits)
+    for base in range(2, 17):
+        for q in range(1, 301):
+            for p in coprime_sample(q, rng):
+                expansion = expand_rational(p, q, base)
+                assert evaluate_expansion(expansion) == merged_value(expansion) == Fraction(p, q), (p, q, base)
+
+
+def refuse_long_merges(monkeypatch, longest: int) -> None:
+    """Make `_periods._digits_value` fail on more than `longest` digits: reading a value off them needs no more."""
+    digits_value = _periods._digits_value
+
+    def short_only(digits, base):
+        assert len(digits) <= longest, f"merged {len(digits)} digits"
+        return digits_value(digits, base)
+
+    monkeypatch.setattr(_periods, "_digits_value", short_only)
+
+
+@pytest.mark.parametrize(
+    "p,q,base",
+    [(12345, 99991, 10), (1, 99991, 2), (777, 3 * 99991, 16), (1, 999983, 3), (1, 999983, 10), (1, 999983, 16)]
+    + [(5, 32 * 999983, 10), (5, 32 * 999983, 12), (1, 2**60, 10), (1, 3 * 2**60, 10), (2**62 - 1, 2**63, 2)],
+)
+def test_long_expansions_evaluate_from_their_leading_digits(monkeypatch, p, q, base):
+    """A denominator below 2**64, with or without a preperiod: no more digits are merged than b**K >= 2**129 needs."""
+    expansion = expand_rational(p, q, base)
+    refuse_long_merges(monkeypatch, -(-_periods._LEGENDRE_BITS // (base.bit_length() - 1)))
+    assert evaluate_expansion(expansion) == Fraction(p, q)
+
+
+def random_expansion(base: int, rng: random.Random, longest: int) -> RadixExpansion:
+    """A canonical expansion of at most `longest` random digits: most often of no fraction with a small denominator."""
+    while True:
+        preperiod = [rng.randrange(base) for _ in range(rng.randrange(longest // 2))]
+        period = [rng.randrange(base) for _ in range(rng.randrange(1, longest // 2))]
+        try:
+            return RadixExpansion(base, preperiod, period)
+        except DomainError:  # not canonical: draw again
+            continue
+
+
+def test_evaluate_expansions_of_random_digits_match_the_merge():
+    rng = random.Random(129)
+    for base in (2, 3, 7, 10, 12, 16, 255, 256, 257, 2**64):
+        for _ in range(40):
+            expansion = random_expansion(base, rng, 400)
+            assert evaluate_expansion(expansion) == merged_value(expansion), expansion
+
+
+def test_evaluate_expansion_rejects_a_round_trip_with_one_period_digit_changed():
+    """The leading digits still give p/q, of the right preperiod and period lengths: only the last check rejects it."""
+    rng = random.Random(99991)
+    checked = 0
+    for base, q in [(10, 9973), (3, 7 * 9973), (16, 2**10 * 9973), (12, 6**5 * 4481), (2, 99991)]:
+        for _ in range(5):
+            p = rng.randrange(1, q)
+            expansion = expand_rational(p, q, base)
+            period = list(expansion.period)
+            place = rng.randrange(100, len(period))  # past the digits the candidate is read from
+            period[place] = (period[place] + rng.randrange(1, base)) % base
+            try:
+                changed = RadixExpansion(base, expansion.preperiod, period)
+            except DomainError:  # the change broke the canonical form
+                continue
+            assert evaluate_expansion(changed) == merged_value(changed) != Fraction(p, q)
+            checked += 1
+    assert checked >= 20
+
+
+def test_evaluate_expansion_of_a_terminating_long_preperiod():
+    for base, q in [(10, 2**300), (10, 5**300 * 2**7), (12, 2**600 * 3**5), (2, 2**1000)]:
+        expansion = expand_rational(1, q, base)
+        assert expansion.period == (0,) and len(expansion.preperiod) >= 300
+        assert evaluate_expansion(expansion) == merged_value(expansion) == Fraction(1, q)
+
+
+def test_evaluate_expansion_never_expands_a_candidate_whose_period_cannot_be_held(monkeypatch):
+    """Leading digits of 1/(10**18 + 3), whose period has about 10**18 digits, then a short period.
+
+    The candidate 1/(10**18 + 3) fails the preperiod or period length check, so it is never expanded.
+    """
+    q = 10**18 + 3
+    head = tuple(int(d) for d in str(10**60 // q).zfill(60))
+    leading = Fraction(_periods._digits_value(head[:43], 10), 10**43)  # the K = 43 digits read in base 10
+    assert leading.limit_denominator(isqrt(10**43 // 2)) == Fraction(1, q)
+    cases = [
+        RadixExpansion(10, head, (1, 2) if head[-1] != 2 else (2, 1)),
+        RadixExpansion(10, (), head + (1, 2)),
+        RadixExpansion(10, head + (4,) * 700, (3,)),
+    ]
+    monkeypatch.setattr(_periods, "expand_rational", lambda *args: pytest.fail(f"expanded {args}"))
+    for expansion in cases:
+        assert Fraction(1, q) != evaluate_expansion(expansion) == merged_value(expansion)
 
 
 def test_base_validation():
