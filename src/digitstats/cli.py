@@ -22,6 +22,7 @@ import io
 import os
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -201,21 +202,15 @@ def _cmd_digits(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    from .stats import _stats_pieces, running_stats, stats_table
+    from .stats import _END, _stats_pieces, running_stats, stats_table
 
     path = None if args.digits_file == "-" else args.digits_file
     try:
-        if path is None:  # stdin is read whole, as bytes, and checked as a file is
-            stream = DigitStream.from_text(sys.stdin.buffer.read(), args.base)
-        else:
-            stream = DigitStream.from_file(path, args.base)
-        if args.checkpoints is None:
-            if not stream.length:
-                raise DomainError("no digits in input")
-            marks = [stream.length]
-        else:
-            marks = args.checkpoints()
-        rows = running_stats(stream, marks)
+        with nullcontext(sys.stdin.buffer) if path is None else open(path, "rb") as file:
+            stream = DigitStream._read_once(file, args.base)
+            rows = running_stats(stream, [_END] if args.checkpoints is None else args.checkpoints())
+            for _ in stream._chunks():  # the digits past the last checkpoint are checked too, before any output
+                pass
     except OSError as exc:
         raise _UsageError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
     return _Output(

@@ -34,7 +34,7 @@ __all__ = [
     "parse_expansion",
 ]
 
-_CHUNK_BYTES = 1 << 20  # bytes read from a digit file at a time
+_CHUNK_BYTES = 1 << 16  # bytes read from a digit file at a time: below glibc's 128 KiB mmap threshold
 _CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator, and per piece a repeat is written in
 _REPEAT_DIGITS = 1 << 60  # about the most digits of one chunk of an unbounded period
 _BYTE_VALUES = bytes(range(256))
@@ -165,7 +165,7 @@ class DigitStream:
         Only for streams the package builds: `from_digits`, `constant` and
         `with_prefix` checked their digits on construction; an expansion's
         digits come from a checked or long-division `RadixExpansion`; block
-        runs are of 0, 1 and 2; a digit text is checked whole before any of
+        runs are of 0, 1 and 2; each piece of a digit text is checked before
         it is counted; and a `_head` passes on its stream's chunks, checked
         as that stream checks them. `chunks(stop=None)` yields the digits
         in chunks.
@@ -213,32 +213,23 @@ class DigitStream:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike, base: int) -> "DigitStream":
-        """The digits of a UTF-8 digit-text file, read about 1 MiB at a time.
+        """The digits of a UTF-8 digit-text file, read 64 KiB at a time.
 
         The whole file is checked here, as :meth:`from_text` checks a text,
         and nothing of it is kept: each ``iter()`` reopens the file, and
         raises DomainError if its size or modification time has changed.
         A path that opens as no regular file, such as a pipe or
-        ``/dev/stdin``, yields its bytes once, so each piece read is
-        checked and kept, as :meth:`from_text` keeps a text: a fault stops
-        the reading at the piece that holds it, and a later pass replays
-        the pieces kept. A piece that ends inside a UTF-8 sequence is
-        completed first, so a fault is named as a file names it. OSError
-        from opening or reading the file propagates.
+        ``/dev/stdin``, yields its bytes once, so its pieces are kept, as
+        :meth:`from_text` keeps a text, and a later pass replays them.
+        Either way a fault is named as reading the whole text names it,
+        also where a piece ends inside a UTF-8 sequence. OSError from
+        opening or reading the file propagates.
         """
         b = _check_base(base)
         with open(path, "rb") as file:
             if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-                kept: list[bytes] = []
-
-                def first_pass() -> Iterator[bytes]:
-                    for piece in iter(functools.partial(file.read, _CHUNK_BYTES), b""):
-                        piece += file.read(_utf8_missing(piece))
-                        kept.append(piece)
-                        yield piece
-
-                passes = iter((first_pass(),))
-                return _text_stream(lambda: next(passes, kept), b)
+                kept = list(_text_pieces(file))
+                return _text_stream(lambda: kept, b)
         stamp: list[tuple[int, int]] = []
 
         def raw() -> Iterator[bytes]:
@@ -247,9 +238,21 @@ class DigitStream:
                 stamp.append((status.st_size, status.st_mtime_ns))
                 if stamp[-1] != stamp[0]:
                     raise DomainError(f"{os.fspath(path)!r} changed after it was checked")
-                yield from iter(functools.partial(file.read, _CHUNK_BYTES), b"")
+                yield from _text_pieces(file)
 
         return _text_stream(raw, b)
+
+    @classmethod
+    def _read_once(cls, file, base: int) -> "DigitStream":
+        """The digits of the digit text in the binary `file`, each piece checked as it is read, none kept.
+
+        So the stream, of unknown length, is read once: every ``_chunks()``
+        call returns the same iterator, and a reader that stops early leaves
+        the rest of it to the next.
+        """
+        b = _check_base(base)
+        chunks = _digit_chunks(_text_pieces(file), b, b)
+        return cls._trusted(b, None, lambda stop=None: chunks)
 
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
@@ -747,9 +750,7 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
 
 def _text_digits(text: str, base: int) -> Union[bytes, tuple]:
     """The digits of `text` as `text_to_digits` reads them: a bytes of digit values up to base 10, else a tuple."""
-    data = [_ascii(text, base)]
-    _checked_length(lambda: data, base, None)
-    chunks = _digit_values(data, base)
+    chunks = _digit_chunks([_ascii(text, base)], base, None)
     return b"".join(chunks) if base <= 10 else tuple(itertools.chain.from_iterable(chunks))
 
 
@@ -765,100 +766,95 @@ def _ascii(text: str, base: int) -> bytes:
     return text.encode("ascii")
 
 
-def _utf8_missing(piece: bytes) -> int:
-    """How many bytes the UTF-8 sequence that `piece` ends inside lacks: 0 to 3."""
-    for back in range(1, min(len(piece), 4) + 1):
-        byte = piece[-back]
-        if byte < 0x80:  # ASCII
-            return 0
-        if byte >= 0xC0:  # a lead byte, of a sequence of 2, 3 or 4 bytes
-            return max((2 if byte < 0xE0 else 3 if byte < 0xF0 else 4) - back, 0)
-    return 0  # continuation bytes only: no sequence to complete
+def _text_pieces(file) -> Iterator[bytes]:
+    """The bytes of the binary `file`, _CHUNK_BYTES at a time; a piece may end inside a UTF-8 sequence."""
+    return iter(functools.partial(file.read, _CHUNK_BYTES), b"")
 
 
-def _digit_values(raw: Iterable[bytes], base: int) -> Iterator[_Chunk]:
-    """The digit values of checked digit text, one chunk per chunk of `raw`.
+def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iterator[_Chunk]:
+    """The digit values of the digit text that `pieces` hold, each piece checked as it arrives.
 
-    Up to base 10 a chunk is the bytes of its digit values. Above, digits
+    Digits must lie below `limit`; None checks the syntax only. Up to
+    base 10 one ``translate`` per piece deletes ASCII whitespace and turns
+    each digit into its value and every other byte into 0xFF, which
+    rejects the piece; a chunk is the bytes of the values. Above, digits
     are tokens, so a chunk is a tuple of ints, and a token that runs to
-    the end of a chunk of `raw` is carried into the next one.
+    the end of a piece is carried into the next one. At the first fault,
+    `_text_error` reads the rest of `pieces` for the error to raise.
     """
+    pieces = iter(pieces)
     if base <= 10:
-        for chunk in raw:
-            yield chunk.translate(_CHAR_TO_DIGIT, _SPACE)
+        top = 10 if limit is None else limit
+        table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
+        for piece in pieces:
+            values = piece.translate(table, _SPACE)
+            if 0xFF in values:
+                raise _text_error(itertools.chain((piece,), pieces), base, limit)
+            yield values
         return
+    allowed = _DIGIT_CHARS + b"," + _SPACE
     carry = b""
-    for chunk in raw:
-        tokens = (carry + chunk).replace(b",", b" ").split()
-        carry = tokens.pop() if chunk[-1:].isdigit() else b""
-        yield tuple(map(int, tokens))
-    if carry:
-        yield (int(carry),)
+    pieces = itertools.chain(pieces, (b"",))  # the empty last piece ends a token carried to it
+    for piece in pieces:
+        text, values = carry + piece, None
+        if not piece.translate(None, allowed):
+            tokens = text.replace(b",", b" ").split()
+            carry = tokens.pop() if piece[-1:].isdigit() else b""
+            try:
+                values = tuple(map(int, tokens))
+            except ValueError:  # a token longer than int() reads
+                pass
+        if values is None or (limit is not None and values and max(values) >= limit):
+            raise _text_error(itertools.chain((text,), pieces), base, limit)
+        yield values
 
 
-def _checked_length(raw: Callable[[], Iterable[bytes]], base: int, limit: int | None) -> int:
-    """The number of digits in the digit text that `raw()` yields in chunks.
+def _text_error(pieces: Iterator[bytes], base: int, limit: int | None) -> DomainError:
+    """The fault of a digit text whose first of `pieces` `_digit_chunks` rejected, all before it valid ASCII.
 
-    Digits must lie below `limit`; None checks the syntax only. Valid
-    text is read once: up to base 10 one ``bytes.translate`` per chunk
-    checks syntax and range together, and above, the tokens are read too.
-    Text that fails is read again by `_text_error` for the error to raise.
-    """
-    allowed = (_DIGIT_CHARS[:limit] if base <= 10 else _DIGIT_CHARS + b",") + _SPACE
-
-    def syntax_checked() -> Iterator[bytes]:
-        for chunk in raw():
-            if chunk.translate(None, allowed):
-                raise ValueError
-            yield chunk
-
-    length = 0
-    try:
-        for values in _digit_values(syntax_checked(), base):
-            if base > 10 and limit is not None and values and max(values) >= limit:
-                raise ValueError
-            length += len(values)
-        return length
-    except ValueError:  # a character outside `allowed`, a token longer than int() reads, or a digit too large
-        pass  # leave the handler first, so that no reader of this pass stays open
-    raise _text_error(raw, base, limit)
-
-
-def _text_error(raw: Callable[[], Iterable[bytes]], base: int, limit: int | None) -> DomainError:
-    """The fault of a digit text that `_checked_length` rejected.
-
-    The text is read in chunks, and the fault named is the one reading it
-    whole would meet first: bytes that are not UTF-8 anywhere, else the
-    first character that is not digit text, else a token too long for
-    int() anywhere, else the first digit not below `limit`.
+    The rest of the text is read once, keeping nothing, and the fault named
+    is the one reading the whole text meets first: bytes that are not UTF-8
+    anywhere, else the first character that is not digit text, else a token
+    too long for int() anywhere, else the first digit not below `limit`.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     not_text = _NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT
-    bad = None
-    try:
-        for chunk in raw():
-            text = decoder.decode(chunk)
-            bad = bad or not_text.search(text)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        raw_bad = exc.object[exc.start : exc.end]
-        return DomainError(f"invalid digit character {raw_bad!r}: the input is not UTF-8")
+    bad = first_out = not_utf8 = None
+    too_long, carry = False, b""
+    for piece in itertools.chain(pieces, (b"",)):  # to the end, which closes a file the pieces are read from
+        try:
+            text = decoder.decode(piece, final=not piece)
+        except UnicodeDecodeError as exc:
+            not_utf8 = not_utf8 or exc.object[exc.start : exc.end]
+            continue
+        bad = bad or not_text.search(text)
+        if bad or too_long:
+            continue
+        if base <= 10:
+            values = piece.translate(_CHAR_TO_DIGIT, _SPACE)
+        else:
+            tokens = (carry + piece).replace(b",", b" ").split()
+            carry = tokens.pop() if piece[-1:].isdigit() else b""
+            try:
+                values = tuple(map(int, tokens))
+            except ValueError:  # longer than int() reads
+                too_long = True
+                continue
+        if first_out is None and limit is not None and values and max(values) >= limit:
+            first_out = next(d for d in values if d >= limit)
+    if not_utf8 is not None:
+        return DomainError(f"invalid digit character {not_utf8!r}: the input is not UTF-8")
     if bad is not None:
         return DomainError(f"invalid digit character {bad.group()!r}")
-    first_out = None
-    try:
-        for values in _digit_values(raw(), base):
-            if first_out is None and limit is not None and values and max(values) >= limit:
-                first_out = next(d for d in values if d >= limit)
-    except ValueError:  # longer than int() reads
+    if too_long:
         return DomainError("digit token too long")
     return DomainError(f"digit {first_out} out of range for base {base}")
 
 
 def _text_stream(raw: Callable[[], Iterable[bytes]], base: int) -> DigitStream:
-    """The stream of the UTF-8 digit text `raw()` yields, checked whole here and re-read on each pass."""
-    length = _checked_length(raw, base, base)
-    return DigitStream._trusted(base, length, lambda stop=None: _digit_values(raw(), base))
+    """The stream of the UTF-8 digit text `raw()` yields in pieces, checked whole here and again on each pass."""
+    length = sum(map(len, _digit_chunks(raw(), base, base)))
+    return DigitStream._trusted(base, length, lambda stop=None: _digit_chunks(raw(), base, base))
 
 
 def format_expansion(expansion: RadixExpansion) -> str:

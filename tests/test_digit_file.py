@@ -3,7 +3,8 @@
 `in_memory_stream` is the reader's old path, kept here as the oracle:
 read the whole file as UTF-8 text, check its syntax with one regular
 expression, parse it into a tuple, and let ``DigitStream.from_digits``
-check the range. ``DigitStream.from_file`` reads the same file in chunks
+check the range. ``DigitStream.from_file``, and the CLI's single pass
+over the file, over stdin and over a pipe, read the same bytes in chunks
 of a few bytes here, so every character, multi-byte sequence and token
 meets a chunk boundary somewhere, and must name the same fault or give
 the same digits.
@@ -17,6 +18,7 @@ grow with the count.
 
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -49,6 +51,7 @@ from digitstats import (
     stats_to_csv,
     text_to_digits,
 )
+from digitstats import cli
 from digitstats.cli import build_parser, run_cli
 
 _SPACE = " \t\n\r\v\f"
@@ -157,6 +160,7 @@ def fuzz_cases():
 
 
 def test_file_stream_matches_in_memory_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))  # most of a short run is building it
     path = tmp_path / "digits.txt"
     for case, (data, base, marks) in enumerate(fuzz_cases()):
         path.write_bytes(data)
@@ -165,24 +169,31 @@ def test_file_stream_matches_in_memory_path(tmp_path, monkeypatch):
             oracle = list(in_memory_stream(path, base))
         except DomainError:
             oracle = None
+        argv = ["stats", "--base", str(base), "--format", "csv"]
+        if marks is not None:
+            argv += ["--checkpoints", "list:" + ",".join(map(str, marks))]
         for size in range(1, 8):
             monkeypatch.setattr(core, "_CHUNK_BYTES", size)
             assert stats_result(DigitStream.from_file, path, base, marks) == expected, (case, data, base, marks, size)
             if oracle is not None:
                 stream = DigitStream.from_file(path, base)
                 assert (stream.length, list(stream), list(stream)) == (len(oracle), oracle, oracle), (case, size)
-        # the CLI itself, at one chunk size per case, reading the file and the same bytes on stdin
-        argv = ["stats", "--base", str(base), "--format", "csv"]
-        if marks is not None:
-            argv += ["--checkpoints", "list:" + ",".join(map(str, marks))]
-        assert cli_result([*argv, "--digits-file", str(path)]) == expected, (case, data, base, marks, size)
-        # with the error handler a real stdin gets under UTF-8 mode or the C locale
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape"))
-        assert cli_result([*argv, "--digits-file", "-"]) == expected, (case, data, base, marks)
+            # the CLI's single pass over the file, over the same bytes on stdin, and through a pipe
+            assert cli_result([*argv, "--digits-file", str(path)]) == expected, (case, data, base, marks, size)
+            # with the error handler a real stdin gets under UTF-8 mode or the C locale
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape"))
+            assert cli_result([*argv, "--digits-file", "-"]) == expected, (case, data, base, marks, size)
+            if Path("/dev/fd").is_dir():
+                read, write = os.pipe()
+                os.write(write, data)  # the fuzzed texts fit a pipe's 64 KiB buffer
+                os.close(write)
+                with open(read, "rb") as pipe:
+                    piped = cli_result([*argv, "--digits-file", f"/dev/fd/{pipe.fileno()}"])
+                assert piped == expected, (case, data, base, marks, size)
 
 
 def test_text_stream_matches_in_memory_path(tmp_path):
-    # stdin is read whole, as bytes: the one-chunk case of the same reader
+    # a text is one piece: the one-piece case of the same reader
     path = tmp_path / "digits.txt"
     for data, base, marks in fuzz_cases():
         path.write_bytes(data)
@@ -230,10 +241,32 @@ def test_stdin_as_a_digit_file_reads_as_stdin_does(base, text, row):
     assert outs[0].split(b"\n")[1].startswith(row)
 
 
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="reads a pipe as /dev/stdin")
+@pytest.mark.parametrize("data, base, checkpoints, fault", [
+    (b"0" * 70000 + b"\0" * 70000, 10, [], r"'\x00'"),
+    (b"0120" * 20000 + b" x", 3, ["--checkpoints", "list:5,50"], "'x'"),
+    (b"3" + b"0" * (1 << 20) + b"\xff", 3, [], r"b'\xff': the input is not UTF-8"),
+], ids=["NUL bytes", "a bad character past the last checkpoint", "out of range, then not UTF-8"])
+def test_a_fault_on_any_input_is_named_before_any_output(tmp_path, data, base, checkpoints, fault):
+    # a file, stdin and /dev/stdin on a pipe are read in one pass, to the end: each names the fault reading
+    # the whole text names, and writes nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    path, out = tmp_path / "digits.txt", tmp_path / "stats.csv"
+    path.write_bytes(data)
+    for source in (str(path), "-", "/dev/stdin"):
+        for extra in ([], ["--out", str(out)]):
+            argv = ["stats", "--base", str(base), "--digits-file", source, *checkpoints, "--format", "csv", *extra]
+            result = subprocess.run([sys.executable, "-m", "digitstats.cli", *argv], input=data, env=env,
+                                    capture_output=True, timeout=60)
+            expected = (1, b"", f"error: domain: invalid digit character {fault}\n".encode())
+            assert (result.returncode, result.stdout, result.stderr) == expected, (source, extra)
+            assert not out.exists()
+
+
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="opens a pipe by its /dev/fd path")
 @pytest.mark.parametrize("base, text", [(3, b"0120 2\n1"), (12, b"11,0\n3 10,2 7")])
 def test_a_pipe_is_read_in_checked_pieces_and_replayed(monkeypatch, base, text):
-    # each piece is checked as it arrives: a fault stops the reading there, and a good pipe re-reads
+    # each piece is checked; a fault is named once the pipe is read to its end, and a good pipe re-reads
     monkeypatch.setattr(core, "_CHUNK_BYTES", 3)
     for data, fault in ((text, None), (b"01x" + b"0" * 60000, "'x'")):  # fits a pipe's 64 KiB buffer
         read, write = os.pipe()
@@ -247,7 +280,7 @@ def test_a_pipe_is_read_in_checked_pieces_and_replayed(monkeypatch, base, text):
             else:
                 with pytest.raises(DomainError, match=f"invalid digit character {fault}$"):
                     DigitStream.from_file(f"/dev/fd/{pipe.fileno()}", base)
-                assert len(pipe.read()) >= len(data) - io.DEFAULT_BUFFER_SIZE  # one read buffer at most
+                assert pipe.read() == b""
 
 
 def read_fault(path, base: int) -> str:

@@ -15,6 +15,7 @@ import random
 import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,16 @@ def test_no_arguments_end_in_a_traceback(argv, stdin, streams):
         assert child.returncode in (0, 1, 2), err.decode(errors="replace")
     lines = err.decode(errors="replace").splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
+
+
+def test_a_geometric_spec_larger_than_memory_fails_within_a_second():
+    # factor 1.0000001 up to 1e12 makes about 2.8e8 depths, some 25 GB: the probe refuses them before any step,
+    # and before the digits are read
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    argv = ["stats", "--base", "10", "--checkpoints", "geometric:1,1.0000001,1000000000000"]
+    started = time.monotonic()
+    child = subprocess.run([sys.executable, "-c", CHILD, *argv], input=b"0123", env=env, capture_output=True,
+                           timeout=TIMEOUT_S)
+    elapsed = time.monotonic() - started
+    assert (child.returncode, child.stdout, child.stderr) == (1, b"", b"error: memory: out of memory\n")
+    assert elapsed < 1, elapsed

@@ -417,6 +417,21 @@ def test_fine_geometric_checkpoints_take_linear_time():
     assert depths == list(range(1, 10**4 + 1))
 
 
+@pytest.mark.parametrize(
+    "start,factor,max_depth",
+    [(1, "1001/1000", 10**4), (1, "1.0001", 10**4), (50, "13/7", 2000), (7, "9/8", 10**9), (1, "2", 2**80),
+     (3, "10", 3 * 10**25), (10**6, "1000001/1000000", 10**6 + 3000), (5, "1000", 6)],
+)
+def test_geometric_checkpoints_probe_the_memory_of_their_depths_first(monkeypatch, start, factor, max_depth):
+    # the probe asks, before the first step, for no less than the depths made hold
+    from digitstats import stats
+
+    asked = []
+    monkeypatch.setattr(stats, "_probe_memory", lambda size, what: asked.append(size))
+    depths = geometric_checkpoints(start, factor, max_depth)
+    assert len(asked) == 1 and len(depths) * stats._DEPTH_BYTES <= asked[0]
+
+
 def test_stats_csv_layout():
     rows = running_stats(DigitStream.from_digits([0, 1, 2, 0], 3), [2, 4])
     text = stats_to_csv(rows)
