@@ -32,7 +32,7 @@ from math import lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, Iterator
 
-from .core import DigitStream, _probe_memory, _Record, _repeated, _run_chunks, _set
+from .core import DigitStream, _probe_memory, _Record, _repeated, _run_chunks
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 
@@ -229,12 +229,7 @@ class OscillationSchedule(_Record):
             raise DomainError("breakpoints must be strictly ascending")
         if breakpoints and breakpoints[-1] > horizon:
             raise DomainError("breakpoints cannot exceed the horizon")
-        _set(self, "x1", x1)
-        _set(self, "x2", x2)
-        _set(self, "epsilon", epsilon)
-        _set(self, "horizon", horizon)
-        _set(self, "breakpoints", breakpoints)
-        _set(self, "w_at_breakpoints", w_at_breakpoints)
+        super().__init__(x1, x2, epsilon, horizon, breakpoints, w_at_breakpoints)
 
     def value_at(self, n: int) -> Fraction:
         """The run value at position n: x1 in odd runs, x2 in even runs."""
@@ -321,9 +316,7 @@ class BlockSpec(_Record):
                 (ap, aq), (bp, bq), (gp, gq) = [(v.numerator, v.denominator) for v in (alpha, beta, gamma)]
                 previous = alpha
             rows.append((k * ap // aq, k * bp // bq, k * gp // gq))
-        _set(self, "theta", theta)
-        _set(self, "alphas", alphas)
-        _set(self, "rows", tuple(rows))
+        super().__init__(theta, alphas, tuple(rows))
 
     @property
     def blocks(self) -> int:

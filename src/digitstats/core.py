@@ -15,6 +15,7 @@ import operator
 import os
 import re
 import stat
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -207,9 +208,7 @@ class DigitStream:
         :meth:`from_file` checks a file, so a digit out of range is an error
         too. The digits are held as bytes up to base 10 and as ints above.
         """
-        b = _check_base(base)
-        data = [_ascii(text, b) if isinstance(text, str) else text]
-        return _text_stream(lambda: data, b)
+        return cls.from_digits(_text_digits(text, _check_base(base)), base)
 
     @classmethod
     def from_file(cls, path: str | os.PathLike, base: int) -> "DigitStream":
@@ -219,8 +218,8 @@ class DigitStream:
         and nothing of it is kept: each ``iter()`` reopens the file, and
         raises DomainError if its size or modification time has changed.
         A path that opens as no regular file, such as a pipe or
-        ``/dev/stdin``, yields its bytes once, so its pieces are kept, as
-        :meth:`from_text` keeps a text, and a later pass replays them.
+        ``/dev/stdin``, yields its bytes once, so its digits are kept, as
+        :meth:`from_text` keeps a text's, and a later pass reads them.
         Either way a fault is named as reading the whole text names it,
         also where a piece ends inside a UTF-8 sequence. OSError from
         opening or reading the file propagates.
@@ -228,8 +227,7 @@ class DigitStream:
         b = _check_base(base)
         with open(path, "rb") as file:
             if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-                kept = list(_text_pieces(file))
-                return _text_stream(lambda: kept, b)
+                return cls.from_digits(_text_digits(_text_pieces(file), b), b)
         stamp: list[tuple[int, int]] = []
 
         def raw() -> Iterator[bytes]:
@@ -240,7 +238,8 @@ class DigitStream:
                     raise DomainError(f"{os.fspath(path)!r} changed after it was checked")
                 yield from _text_pieces(file)
 
-        return _text_stream(raw, b)
+        length = sum(map(len, _digit_chunks(raw(), b, b)))
+        return cls._trusted(b, length, lambda stop=None: _digit_chunks(raw(), b, b))
 
     @classmethod
     def _read_once(cls, file, base: int) -> "DigitStream":
@@ -392,12 +391,16 @@ class _Record:
 
     As a frozen dataclass does, equality (between records of one class),
     hash and repr read the tuple of field values, and assigning or
-    deleting a field raises AttributeError. A subclass's ``__init__``
-    checks its arguments and sets each field once, by one `_set` call a
-    field, as a dataclass's generated ``__init__`` does: a loop over the
-    fields makes building a `PartialStats` about a third slower. A record
-    pickles and copies by its field values, put back unchecked by
-    `_restore`. A subclass that declares no slots keeps its base's fields.
+    deleting a field raises AttributeError. The one ``__init__`` sets the
+    fields unchecked, in ``__slots__`` order, from positional and keyword
+    arguments, as a dataclass's does; a missing, unknown, repeated or
+    surplus argument raises TypeError. A subclass that checks its
+    arguments ends its own ``__init__`` in ``super().__init__(...)``;
+    `PartialStats`, which `running_stats` builds per checkpoint, sets each
+    field by a `_set` call, as a loop makes it about a third slower. A
+    record pickles and copies by its field values, put back unchecked by
+    `_restore` through the same loop. A subclass that declares no slots
+    keeps its base's fields.
     """
 
     __slots__ = ()
@@ -409,6 +412,14 @@ class _Record:
             cls._fields = fields
             cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
             cls.__match_args__ = cls.__dict__.get("__match_args__", fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = {**dict(zip(fields, args)), **kwargs}
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes its fields {fields} once each, by position or by name")
+        for name in fields:
+            _set(self, name, values[name])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -438,8 +449,7 @@ _set = object.__setattr__  # sets a field of a record under construction
 def _restore(cls: type, values: tuple) -> _Record:
     """A `cls` record holding the field `values`, unchecked."""
     record = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        _set(record, name, value)
+    _Record.__init__(record, *values)
     return record
 
 
@@ -473,9 +483,7 @@ class RadixExpansion(_Record):
             raise DomainError(f"period {period} is a repetition of {period[:width]}")
         if preperiod and preperiod[-1] == word[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
-        _set(self, "base", b)
-        _set(self, "preperiod", preperiod)
-        _set(self, "period", period)
+        super().__init__(b, preperiod, period)
 
 
 def _reread(digits: Iterable[int]) -> Sequence[int]:
@@ -748,9 +756,14 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     return tuple(_text_digits(text, base))
 
 
-def _text_digits(text: str, base: int) -> Union[bytes, tuple]:
-    """The digits of `text` as `text_to_digits` reads them: a bytes of digit values up to base 10, else a tuple."""
-    chunks = _digit_chunks([_ascii(text, base)], base, None)
+def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int) -> Union[bytes, tuple]:
+    """The digits of a digit text, syntax checked only: a bytes of digit values up to base 10, else a tuple.
+
+    `text` is a str, UTF-8 bytes or byte pieces, which may cut a UTF-8 sequence; faults are named as in a file.
+    """
+    if isinstance(text, str):
+        text = _ascii(text, base)
+    chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, None)
     return b"".join(chunks) if base <= 10 else tuple(itertools.chain.from_iterable(chunks))
 
 
@@ -779,17 +792,20 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     each digit into its value and every other byte into 0xFF, which
     rejects the piece; a chunk is the bytes of the values. Above, digits
     are tokens, so a chunk is a tuple of ints, and a token that runs to
-    the end of a piece is carried into the next one. At the first fault,
-    `_text_error` reads the rest of `pieces` for the error to raise.
+    the end of a piece is carried into the next one, unless it is longer
+    than int() reads (`longest`): that is a fault at once, in linear
+    time. At the first fault, `_text_error` reads the rest of `pieces`
+    for the error to raise.
     """
     pieces = iter(pieces)
+    longest = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # unbounded on Python 3.10 or at 0
     if base <= 10:
         top = 10 if limit is None else limit
         table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
         for piece in pieces:
             values = piece.translate(table, _SPACE)
             if 0xFF in values:
-                raise _text_error(itertools.chain((piece,), pieces), base, limit)
+                raise _text_error(itertools.chain((piece,), pieces), base, limit, longest)
             yield values
         return
     allowed = _DIGIT_CHARS + b"," + _SPACE
@@ -804,12 +820,12 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
                 values = tuple(map(int, tokens))
             except ValueError:  # a token longer than int() reads
                 pass
-        if values is None or (limit is not None and values and max(values) >= limit):
-            raise _text_error(itertools.chain((text,), pieces), base, limit)
+        if values is None or len(carry) > longest or (limit is not None and values and max(values) >= limit):
+            raise _text_error(itertools.chain((text,), pieces), base, limit, longest)
         yield values
 
 
-def _text_error(pieces: Iterator[bytes], base: int, limit: int | None) -> DomainError:
+def _text_error(pieces: Iterator[bytes], base: int, limit: int | None, longest: float) -> DomainError:
     """The fault of a digit text whose first of `pieces` `_digit_chunks` rejected, all before it valid ASCII.
 
     The rest of the text is read once, keeping nothing, and the fault named
@@ -838,6 +854,8 @@ def _text_error(pieces: Iterator[bytes], base: int, limit: int | None) -> Domain
             try:
                 values = tuple(map(int, tokens))
             except ValueError:  # longer than int() reads
+                values = None
+            if values is None or len(carry) > longest:  # no token is read past the first too long
                 too_long = True
                 continue
         if first_out is None and limit is not None and values and max(values) >= limit:
@@ -849,12 +867,6 @@ def _text_error(pieces: Iterator[bytes], base: int, limit: int | None) -> Domain
     if too_long:
         return DomainError("digit token too long")
     return DomainError(f"digit {first_out} out of range for base {base}")
-
-
-def _text_stream(raw: Callable[[], Iterable[bytes]], base: int) -> DigitStream:
-    """The stream of the UTF-8 digit text `raw()` yields in pieces, checked whole here and again on each pass."""
-    length = sum(map(len, _digit_chunks(raw(), base, base)))
-    return DigitStream._trusted(base, length, lambda stop=None: _digit_chunks(raw(), base, base))
 
 
 def format_expansion(expansion: RadixExpansion) -> str:

@@ -30,7 +30,7 @@ from functools import cache, lru_cache
 from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterator
 
-from .core import _Record, _set
+from .core import _Record
 from .errors import DomainError
 from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
 from .rationals import decimal_str, ratio_str
@@ -243,14 +243,11 @@ class ExperimentConfig(_Record):
     def __init__(self, base: int, depth: int, trials: int, master_seed: int) -> None:
         base, depth = _check_size(base, depth, "depth", 1)
         trials = coerce_index(trials, "trials", 1)
-        _set(self, "base", base)
-        _set(self, "depth", depth)
-        _set(self, "trials", trials)
-        _set(self, "master_seed", master_seed & MASK64)
+        super().__init__(base, depth, trials, master_seed & MASK64)
 
 
 class ExperimentSummary(_Record):
-    """Per-trial digit means and their aggregate statistics.
+    """The per-trial digit means `r_values` of the `config`'s trials, their `mean` and other statistics.
 
     `fraction_in_band` is the share of trials whose mean lies within
     `band` of the center (base-1)/2. `variance` is the unbiased sample
@@ -259,22 +256,6 @@ class ExperimentSummary(_Record):
     """
 
     __slots__ = ("config", "band", "r_values", "mean", "variance", "fraction_in_band")
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        band: Fraction,
-        r_values: tuple[Fraction, ...],
-        mean: Fraction,
-        variance: Fraction,
-        fraction_in_band: Fraction,
-    ) -> None:
-        _set(self, "config", config)
-        _set(self, "band", band)
-        _set(self, "r_values", r_values)
-        _set(self, "mean", mean)
-        _set(self, "variance", variance)
-        _set(self, "fraction_in_band", fraction_in_band)
 
     @property
     def stddev(self) -> float:

@@ -91,8 +91,7 @@ class FrequencyProfile(_Record):
             raise DomainError(f"frequencies must be nonnegative, got {tau}")
         if sum(tau) != 1:
             raise DomainError(f"frequencies must sum to 1, got sum {sum(tau)}")
-        _set(self, "base", base)
-        _set(self, "tau", tau)
+        super().__init__(base, tau)
 
     @property
     def theta(self) -> Fraction:
@@ -101,36 +100,21 @@ class FrequencyProfile(_Record):
 
 
 class Converged(_Record):
-    """Tail window spread is within `tolerance`; `value` is its midpoint."""
+    """Tail window, ending at `depth`, spreads within `tolerance`; `value` is its midpoint."""
 
     __slots__ = ("value", "depth", "tolerance")
 
-    def __init__(self, value: Fraction, depth: int, tolerance: Fraction) -> None:
-        _set(self, "value", value)
-        _set(self, "depth", depth)
-        _set(self, "tolerance", tolerance)
-
 
 class Oscillating(_Record):
-    """Tail window shows repeated excursions between two separated levels."""
+    """Tail window makes repeated excursions to `liminf_estimate` and `limsup_estimate`, at `witness_depths`."""
 
     __slots__ = ("liminf_estimate", "limsup_estimate", "witness_depths")
 
-    def __init__(
-        self, liminf_estimate: Fraction, limsup_estimate: Fraction, witness_depths: tuple[int, ...]
-    ) -> None:
-        _set(self, "liminf_estimate", liminf_estimate)
-        _set(self, "limsup_estimate", limsup_estimate)
-        _set(self, "witness_depths", witness_depths)
-
 
 class Undetermined(_Record):
-    """Too few samples, or neither convergence nor oscillation is evident."""
+    """Too few samples up to `depth`, or neither convergence nor oscillation is evident."""
 
     __slots__ = ("depth",)
-
-    def __init__(self, depth: int) -> None:
-        _set(self, "depth", depth)
 
 
 ConvergenceVerdict = Union[Converged, Oscillating, Undetermined]

@@ -308,6 +308,42 @@ def test_a_pipe_names_a_fault_as_the_file_does(tmp_path, monkeypatch):
                     assert piped == read_fault(path, 10), (size, data)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="needs an int-string limit")
+@pytest.mark.parametrize("tail, fault", [(b"", "digit token too long"), (b" x", "invalid digit character 'x'")],
+                         ids=["the token alone", "a bad character after it"])
+def test_a_long_digit_token_is_refused_in_linear_time(tmp_path, tail, fault):
+    # one base-16 token of 32 MiB: carried piece by piece whole, it cost CPU time quadratic in its length
+    # (about 11 s a run on a 2-CPU host); refused once it is longer than int() reads, a run takes well under 3 s
+    resource = pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    data = b"1" * (32 << 20) + tail
+    path = tmp_path / "token.txt"
+    path.write_bytes(data)
+    for source in (str(path), "-"):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        argv = [sys.executable, "-m", "digitstats.cli", "stats", "--base", "16", "--digits-file", source]
+        result = subprocess.run(argv, input=data, env=env, capture_output=True, timeout=120)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        expected = (1, b"", f"error: domain: {fault}\n".encode())
+        assert (result.returncode, result.stdout, result.stderr) == expected, source
+        assert cpu < 3, (source, cpu)
+
+
+@pytest.mark.parametrize("base, text", [(3, "0120 2\n1"), (12, "11,0\n3 10,2 7"), (12, b"11,0\n3 10,2 7")])
+def test_a_text_is_parsed_once(monkeypatch, base, text):
+    # the digits are held, so a later pass reads them without the text reader
+    stream = DigitStream.from_text(text, base)
+    expected = list(text_to_digits(text if isinstance(text, str) else text.decode(), base))
+
+    def no_reader(*args):
+        raise AssertionError("the text was parsed again")
+
+    monkeypatch.setattr(core, "_digit_chunks", no_reader)
+    assert list(stream) == stream.take(99) == expected
+    assert running_stats(stream, [stream.length])[0].n == len(expected)
+
+
 def test_text_to_digits_names_a_lone_surrogate():
     # surrogateescape'd stdin holds lone surrogates; they are named, not called non-UTF-8
     with pytest.raises(DomainError, match=r"invalid digit character '\\udcff'$"):

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import digitstats
+from digitstats import core
 from digitstats import (
     BlockSpec,
     Converged,
@@ -136,6 +137,48 @@ def test_record_defaults_and_match_args():
     match BlockSpec(F(1), (F(1, 4),)):
         case BlockSpec(theta, alphas):
             assert (theta, alphas) == (F(1), (F(1, 4),))
+
+
+UNCHECKED = [case[:2] for case in RECORDS if "__init__" not in vars(case[0])]
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["record", "Twin"])
+@pytest.mark.parametrize("cls, kwargs", UNCHECKED, ids=[cls.__name__ for cls, _ in UNCHECKED])
+def test_one_constructor_takes_fields_as_a_dataclass_does(cls, kwargs, twin):
+    assert {cls.__name__ for cls, _ in UNCHECKED} == {"Converged", "Oscillating", "Undetermined", "ExperimentSummary"}
+    if twin:
+        cls = type("Twin", (cls,), {"__slots__": ()})
+    names, values = list(kwargs), list(kwargs.values())
+    record = cls(**kwargs)
+    assert cls(*values) == record and cls(*values[:1], **dict(list(kwargs.items())[1:])) == record
+    assert tuple(getattr(record, name) for name in names) == tuple(values)
+    wrong = [
+        ((), dict(list(kwargs.items())[1:])),  # the first field missing
+        (values[:-1], {}),  # the last field missing
+        ((), {**kwargs, "extra": 1}),  # an unknown keyword
+        (values[:1], kwargs),  # the first field by position and by name
+        ((*values, 1), {}),  # a surplus positional argument
+    ]
+    for args, named in wrong:
+        with pytest.raises(TypeError) as caught:
+            cls(*args, **named)
+        message = f"{cls.__qualname__}() takes its fields {tuple(names)} once each, by position or by name"
+        assert str(caught.value) == message, (args, named)
+
+
+def test_restore_stays_unchecked(monkeypatch):
+    # unpickling, copying and expand_rational put the fields back as they are, without the canonical-form checks
+    record = RadixExpansion(10, (1,), (6,))
+
+    def no_check(word):
+        raise AssertionError("a restored record was checked")
+
+    monkeypatch.setattr(core, "_root", no_check)
+    with pytest.raises(AssertionError):
+        RadixExpansion(10, (1,), (6,))
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is RadixExpansion and clone == record and repr(clone) == repr(record)
+    assert digitstats.expand_rational(1, 6, 10) == record  # built by the same unchecked path
 
 
 # every message the dataclass versions raised, unchanged
