@@ -81,26 +81,27 @@ def _check_base(base: int) -> int:
     return value
 
 
-def _check_digits(digits: Sequence, base: int, depth: int | None = None) -> _Chunk:
+def _check_digits(digits: Iterable, base: int, depth: int | None = None) -> _Chunk:
     """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints (see `_checked_word`)."""
     word = _checked_word(digits, base, depth)
     return tuple(word) if 10 < base <= 256 else word
 
 
-def _checked_word(digits: Sequence, base: int, depth: int | None = None) -> Union[bytes, tuple]:
-    """`digits` checked: a bytes of their values up to base 256, else a tuple of ints.
+def _checked_word(digits: Iterable, base: int, depth: int | None = None) -> Union[bytes, tuple]:
+    """`digits`, any iterable of them, checked: a bytes of their values up to base 256, else a tuple of ints.
 
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
-    ``bytearray()`` conversion (faster than ``bytes()`` on a list) does
-    both in C, and one ``translate`` checks the range. Otherwise
+    ``bytearray()`` conversion (faster than ``bytes()`` on a list; a bytes
+    is kept) does both in C, and one ``translate`` checks the range. Otherwise
     DomainError names the first bad digit by its repr, as out of range;
     when `digits` are a lazy stream's digits after depth `depth`, one
     that is not an integer is named by its depth.
     """
+    digits = digits if isinstance(digits, (bytes, tuple, list)) else tuple(digits)  # a failed check reads them again
     try:
         if base <= 256:
-            values = bytes(bytearray(digits))
+            values = digits if digits.__class__ is bytes else bytes(bytearray(digits))
             if not values.translate(None, _BYTE_VALUES[:base]):
                 return values
         else:
@@ -197,18 +198,20 @@ class DigitStream:
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
         """The digits of `digits`, checked here and held as one chunk (see `_check_digits`)."""
         b = _check_base(base)
-        data = _check_digits(_reread(digits), b)
+        data = _check_digits(digits, b)
         return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
     def from_text(cls, text: str | bytes, base: int) -> "DigitStream":
         """The digits of `text`, a str or UTF-8 bytes, in the digit-text format.
 
-        See :func:`text_to_digits`. The text is checked whole here, as
-        :meth:`from_file` checks a file, so a digit out of range is an error
-        too. The digits are held as bytes up to base 10 and as ints above.
+        See :func:`text_to_digits`. The one pass that reads the text checks
+        it whole, as :meth:`from_file` checks a file, so a digit out of range
+        is an error too; its digits are held as bytes up to base 10, else ints.
         """
-        return cls.from_digits(_text_digits(text, _check_base(base)), base)
+        b = _check_base(base)
+        data = _text_digits(text, b, b)
+        return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
     def from_file(cls, path: str | os.PathLike, base: int) -> "DigitStream":
@@ -227,7 +230,7 @@ class DigitStream:
         b = _check_base(base)
         with open(path, "rb") as file:
             if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-                return cls.from_digits(_text_digits(_text_pieces(file), b), b)
+                return cls.from_text(_text_pieces(file), b)  # a text in pieces
         stamp: list[tuple[int, int]] = []
 
         def raw() -> Iterator[bytes]:
@@ -471,8 +474,8 @@ class RadixExpansion(_Record):
 
     def __init__(self, base: int, preperiod: Sequence[int], period: Sequence[int]) -> None:
         b = _check_base(base)
-        preperiod = tuple(_checked_word(_reread(preperiod), b))
-        word = _checked_word(_reread(period), b)  # the checks below compare bytes up to base 256
+        preperiod = tuple(_checked_word(preperiod, b))
+        word = _checked_word(period, b)  # the checks below compare bytes up to base 256
         period = tuple(word)
         if not word:
             raise DomainError("period must be non-empty; use (0,) for terminating expansions")
@@ -484,11 +487,6 @@ class RadixExpansion(_Record):
         if preperiod and preperiod[-1] == word[-1]:
             raise DomainError("preperiod suffix could be absorbed into the period")
         super().__init__(b, preperiod, period)
-
-
-def _reread(digits: Iterable[int]) -> Sequence[int]:
-    """`digits` as a sequence `_check_digits` can read twice: bytes, a tuple and a list as they are."""
-    return digits if isinstance(digits, (bytes, tuple, list)) else tuple(digits)
 
 
 def _root(word: Sequence[int]) -> int:
@@ -679,7 +677,7 @@ def evaluate_expansion(expansion: RadixExpansion) -> Fraction:
 
 def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     """Stream emitting the `prefix` digits, then `tail` unchanged."""
-    pre = _check_digits(_reread(prefix), tail.base)
+    pre = _check_digits(prefix, tail.base)
     length = None if tail.length is None else tail.length + len(pre)
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
@@ -753,17 +751,17 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     the digits checks that they lie below the base. The text goes through
     the same byte reader as a digit file.
     """
-    return tuple(_text_digits(text, base))
+    return tuple(_text_digits(text, base, None))
 
 
-def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int) -> Union[bytes, tuple]:
-    """The digits of a digit text, syntax checked only: a bytes of digit values up to base 10, else a tuple.
+def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int, limit: int | None) -> Union[bytes, tuple]:
+    """A digit text's digits, checked below `limit` (None: syntax only): a bytes of values up to base 10, else a tuple.
 
     `text` is a str, UTF-8 bytes or byte pieces, which may cut a UTF-8 sequence; faults are named as in a file.
     """
     if isinstance(text, str):
         text = _ascii(text, base)
-    chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, None)
+    chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, limit)
     return b"".join(chunks) if base <= 10 else tuple(itertools.chain.from_iterable(chunks))
 
 
@@ -790,62 +788,46 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     Digits must lie below `limit`; None checks the syntax only. Up to
     base 10 one ``translate`` per piece deletes ASCII whitespace and turns
     each digit into its value and every other byte into 0xFF, which
-    rejects the piece; a chunk is the bytes of the values. Above, digits
-    are tokens, so a chunk is a tuple of ints, and a token that runs to
-    the end of a piece is carried into the next one, unless it is longer
-    than int() reads (`longest`): that is a fault at once, in linear
-    time. At the first fault, `_text_error` reads the rest of `pieces`
-    for the error to raise.
+    rejects the piece; a chunk is the bytes of the values. Above, a piece
+    of ASCII digits, commas and whitespace is read as tokens, so a chunk
+    is a tuple of ints, and a token that runs to the end of a piece is
+    carried into the next one, unless it is longer than int() reads
+    (`longest`): that is a fault at once, in linear time.
+
+    From the first fault on nothing more is yielded, and the rest of
+    `pieces` is read once, to the end, keeping nothing: each piece is
+    decoded as UTF-8 and searched for a character that is not digit text,
+    and tokens are read as before until one is too long. The fault raised
+    is the one reading the whole text meets first: bytes that are not
+    UTF-8 anywhere, else the first character that is not digit text, else
+    a token too long for int() anywhere, else the first digit not below
+    `limit`.
     """
-    pieces = iter(pieces)
     longest = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # unbounded on Python 3.10 or at 0
     if base <= 10:
         top = 10 if limit is None else limit
         table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
-        for piece in pieces:
-            values = piece.translate(table, _SPACE)
-            if 0xFF in values:
-                raise _text_error(itertools.chain((piece,), pieces), base, limit, longest)
-            yield values
-        return
     allowed = _DIGIT_CHARS + b"," + _SPACE
-    carry = b""
-    pieces = itertools.chain(pieces, (b"",))  # the empty last piece ends a token carried to it
-    for piece in pieces:
-        text, values = carry + piece, None
-        if not piece.translate(None, allowed):
-            tokens = text.replace(b",", b" ").split()
-            carry = tokens.pop() if piece[-1:].isdigit() else b""
+    decoder = codecs.getincrementaldecoder("utf-8")()  # reads the pieces from the first fault on
+    faulty, too_long, carry = False, False, b""
+    not_utf8 = bad = first_out = None
+    for piece in itertools.chain(pieces, (b"",)):  # the empty last piece ends a carried token and the decoding
+        if not faulty and base <= 10:
+            values = piece.translate(table, _SPACE)
+            if 0xFF not in values:
+                if values:  # an empty piece, as the last is, makes no chunk: a one-piece text joins uncopied
+                    yield values
+                continue
+        if faulty or base <= 10 or piece.translate(None, allowed):  # a fault in this piece or before it
+            faulty = True
             try:
-                values = tuple(map(int, tokens))
-            except ValueError:  # a token longer than int() reads
-                pass
-        if values is None or len(carry) > longest or (limit is not None and values and max(values) >= limit):
-            raise _text_error(itertools.chain((text,), pieces), base, limit, longest)
-        yield values
-
-
-def _text_error(pieces: Iterator[bytes], base: int, limit: int | None, longest: float) -> DomainError:
-    """The fault of a digit text whose first of `pieces` `_digit_chunks` rejected, all before it valid ASCII.
-
-    The rest of the text is read once, keeping nothing, and the fault named
-    is the one reading the whole text meets first: bytes that are not UTF-8
-    anywhere, else the first character that is not digit text, else a token
-    too long for int() anywhere, else the first digit not below `limit`.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    not_text = _NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT
-    bad = first_out = not_utf8 = None
-    too_long, carry = False, b""
-    for piece in itertools.chain(pieces, (b"",)):  # to the end, which closes a file the pieces are read from
-        try:
-            text = decoder.decode(piece, final=not piece)
-        except UnicodeDecodeError as exc:
-            not_utf8 = not_utf8 or exc.object[exc.start : exc.end]
-            continue
-        bad = bad or not_text.search(text)
-        if bad or too_long:
-            continue
+                text = decoder.decode(piece, final=not piece)
+            except UnicodeDecodeError as exc:
+                not_utf8 = not_utf8 or exc.object[exc.start : exc.end]
+                continue
+            bad = bad or (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
+            if bad or too_long:
+                continue
         if base <= 10:
             values = piece.translate(_CHAR_TO_DIGIT, _SPACE)
         else:
@@ -853,20 +835,23 @@ def _text_error(pieces: Iterator[bytes], base: int, limit: int | None, longest: 
             carry = tokens.pop() if piece[-1:].isdigit() else b""
             try:
                 values = tuple(map(int, tokens))
-            except ValueError:  # longer than int() reads
+            except ValueError:  # a token longer than int() reads
                 values = None
             if values is None or len(carry) > longest:  # no token is read past the first too long
-                too_long = True
+                faulty = too_long = True
                 continue
         if first_out is None and limit is not None and values and max(values) >= limit:
-            first_out = next(d for d in values if d >= limit)
+            faulty, first_out = True, next(digit for digit in values if digit >= limit)
+        elif not faulty:
+            yield values
     if not_utf8 is not None:
-        return DomainError(f"invalid digit character {not_utf8!r}: the input is not UTF-8")
+        raise DomainError(f"invalid digit character {not_utf8!r}: the input is not UTF-8")
     if bad is not None:
-        return DomainError(f"invalid digit character {bad.group()!r}")
+        raise DomainError(f"invalid digit character {bad.group()!r}")
     if too_long:
-        return DomainError("digit token too long")
-    return DomainError(f"digit {first_out} out of range for base {base}")
+        raise DomainError("digit token too long")
+    if first_out is not None:
+        raise DomainError(f"digit {first_out} out of range for base {base}")
 
 
 def format_expansion(expansion: RadixExpansion) -> str:
@@ -892,4 +877,4 @@ def parse_expansion(text: str) -> RadixExpansion:
         b = int(base_text)
     except ValueError:  # longer than int() reads
         raise DomainError("expansion base too long") from None
-    return RadixExpansion(b, _text_digits(pre_text, b), _text_digits(per_text, b))
+    return RadixExpansion(b, _text_digits(pre_text, b, None), _text_digits(per_text, b, None))

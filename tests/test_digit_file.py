@@ -28,6 +28,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -309,14 +310,19 @@ def test_a_pipe_names_a_fault_as_the_file_does(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="needs an int-string limit")
-@pytest.mark.parametrize("tail, fault", [(b"", "digit token too long"), (b" x", "invalid digit character 'x'")],
-                         ids=["the token alone", "a bad character after it"])
-def test_a_long_digit_token_is_refused_in_linear_time(tmp_path, tail, fault):
+@pytest.mark.parametrize("head, tail, fault", [
+    (b"", b"", "digit token too long"),
+    (b"", b" x", "invalid digit character 'x'"),
+    (b"16," + b"\n" * (1 << 16), b"", "digit token too long"),
+], ids=["the token alone", "a bad character after it", "a digit out of range a piece before it"])
+def test_a_long_digit_token_is_refused_in_linear_time(tmp_path, head, tail, fault):
     # one base-16 token of 32 MiB: carried piece by piece whole, it cost CPU time quadratic in its length
-    # (about 11 s a run on a 2-CPU host); refused once it is longer than int() reads, a run takes well under 3 s
+    # (about 11 s a run on a 2-CPU host); refused once it is longer than int() reads, a run takes well under 3 s.
+    # A digit out of range in the 64 KiB piece before the token is a fault first: the rest is then read for a
+    # fault named before it, and the token must be refused as fast there too
     resource = pytest.importorskip("resource")
     env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
-    data = b"1" * (32 << 20) + tail
+    data = head + b"1" * (32 << 20) + tail
     path = tmp_path / "token.txt"
     path.write_bytes(data)
     for source in (str(path), "-"):
@@ -342,6 +348,56 @@ def test_a_text_is_parsed_once(monkeypatch, base, text):
     monkeypatch.setattr(core, "_digit_chunks", no_reader)
     assert list(stream) == stream.take(99) == expected
     assert running_stats(stream, [stream.length])[0].n == len(expected)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="needs an int-string limit")
+def test_tokens_at_the_int_string_limit_read_as_text_to_digits_reads_them(tmp_path, monkeypatch):
+    # 640 is the least limit Python accepts: a token of 640 digits is read, one of 641 is too long, and a bad
+    # character after either is named first, whichever piece ends cut the token
+    def outcome(read):
+        try:
+            return list(read())
+        except DomainError as exc:
+            return str(exc)
+
+    path = tmp_path / "token.txt"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for width in (639, 640, 641):
+            for tail, digits in (("", [1]), (",3", [1, 3]), (" x", "invalid digit character 'x'")):
+                text = "0" * (width - 1) + "1" + tail
+                expected = outcome(lambda: text_to_digits(text, 16))
+                assert expected == ("digit token too long" if width > 640 and tail != " x" else digits), (width, tail)
+                for given in (text, text.encode()):
+                    assert outcome(lambda: DigitStream.from_text(given, 16)) == expected, (width, tail, given)
+                path.write_text(text)
+                for size in (1, 2, 3, 7, 640, 641, 65536):
+                    monkeypatch.setattr(core, "_CHUNK_BYTES", size)
+                    assert outcome(lambda: DigitStream.from_file(path, 16)) == expected, (width, tail, size)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_held_text_is_checked_as_it_is_read_and_not_copied():
+    # from_text keeps the bytes its one reading pass makes, and from_digits keeps a bytes of values as it is:
+    # copying them again, as checking the held digits once more did, peaks at 3 and 2 bytes a digit
+    count = 2 * 10**6
+    text = b"0123456789" * (count // 10)
+    values = text.translate(bytes.maketrans(b"0123456789", bytes(range(10))))
+    builds = ((lambda: DigitStream.from_text(text, 10), 2.5), (lambda: DigitStream.from_digits(values, 10), 1.5))
+    for build, bound in builds:
+        tracemalloc.start()
+        try:
+            stream = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * count, (bound, peak / count)
+        assert stream.length == count
+        assert stream.take(12) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
+    with pytest.raises(DomainError, match="^digit 9 out of range for base 9$"):
+        DigitStream.from_text(text, 9)
 
 
 def test_text_to_digits_names_a_lone_surrogate():
