@@ -25,11 +25,14 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .core import DigitStream, _digit_text, _probe_memory, expand_rational, format_expansion
+from ._base import _probe_memory
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
+
+if TYPE_CHECKING:  # annotations only: only the handlers that read or write digits load `core`
+    from .core import DigitStream
 
 __all__ = ["run_cli"]
 
@@ -44,33 +47,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: usage: {message}\n")
 
 
-def _rational(text: str) -> Fraction:
-    return parse_rational(text)
+def _rational(text: str, expected: str = "a rational such as 1/4 or 0.25") -> Fraction:
+    try:
+        return parse_rational(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(f"expected {expected}: {exc}") from None
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise argparse.ArgumentTypeError("expected comma-separated rationals")
-    return tuple(parse_rational(p) for p in parts)
+    return tuple(_rational(p, "comma-separated rationals t0,t1,...") for p in parts)
 
 
 def _checkpoint_spec(text: str) -> Callable[[], list[int]]:
     """Parse a spec into a function the handler calls, so library errors exit 1, not 2."""
     kind, _, rest = text.partition(":")
     if kind == "geometric":
+        expected = "geometric:start,factor,max with integers start and max and a rational factor"
         parts = rest.split(",")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError("expected geometric:start,factor,max")
-        start, factor, max_depth = int(parts[0]), parse_rational(parts[1]), int(parts[2])
+            raise argparse.ArgumentTypeError(f"expected {expected}")
+        try:
+            start, factor, max_depth = int(parts[0]), parse_rational(parts[1]), int(parts[2])
+        except ValueError as exc:  # DomainError is one
+            raise argparse.ArgumentTypeError(f"expected {expected}: {exc}") from None
         from .stats import geometric_checkpoints
 
         return lambda: geometric_checkpoints(start, factor, max_depth)
     if kind == "list":
         try:
             depths = sorted({int(p) for p in rest.split(",") if p.strip() != ""})
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected list:n1,n2,...") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected list:n1,n2,... of integers: {exc}") from None
         if not depths:
             raise argparse.ArgumentTypeError("expected at least one depth")
         return lambda: depths
@@ -127,6 +137,8 @@ def _render(output: _Output, fmt: str) -> Iterable[str]:
     digits = output.digits
     if digits is None:
         return (text,)
+    from .core import _digit_text
+
     head, tail = text.split(_mark(digits))
     return chain((head,), _digit_text(digits._chunks(), digits.base), (tail,))
 
@@ -170,14 +182,19 @@ def _stream_output(stream: DigitStream) -> _Output:
 
 
 # ---------------------------------------------------------------- handlers
-# A handler imports `stats`, `construct` or `simulate` itself, so that a
-# subcommand loads only the layers it runs: only `stats`, quota
-# `construct-freq` and `simulate` load `stats`; only the CSV views that
-# `_csv_text` writes load `csv`, which statistics rows never need; and only
-# JSON output loads `json`, which statistics rows do not use either.
+# A handler imports `core`, `stats`, `construct` or `simulate` itself, so
+# that a subcommand loads only the layers it runs: only the subcommands
+# that read or write digits load `core` (`digits` and `stats` import it
+# here, the constructions through `construct`, and `_render` its digit
+# writer), so `simulate` does not; only `stats` and quota `construct-freq`
+# load `stats`; only the CSV views that `_csv_text` writes load `csv`,
+# which statistics rows never need; and only JSON output loads `json`,
+# which statistics rows do not use either.
 
 
 def _cmd_digits(args) -> _Output:
+    from .core import DigitStream, expand_rational, format_expansion
+
     value = ratio_str(args.rational)
     expansion = expand_rational(args.rational.numerator, args.rational.denominator, args.base)
     text = format_expansion(expansion)
@@ -202,6 +219,7 @@ def _cmd_digits(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
+    from .core import DigitStream
     from .stats import _END, _stats_pieces, running_stats, stats_table
 
     path = None if args.digits_file == "-" else args.digits_file

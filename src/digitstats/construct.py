@@ -32,7 +32,8 @@ from math import lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, Iterator
 
-from .core import DigitStream, _probe_memory, _Record, _repeated, _run_chunks
+from ._base import _probe_memory, _Record
+from .core import DigitStream, _repeated, _run_chunks
 from .errors import DomainError, Infeasible
 from .rationals import coerce_index, coerce_rational, ratio_str
 

@@ -36,8 +36,10 @@ def parse_rational(text: str) -> Fraction:
     """
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from None
+    except ZeroDivisionError:  # whose message, "Fraction(1, 0)", names no fault
+        raise DomainError(f"cannot parse rational {text!r}: the denominator is 0") from None
 
 
 def coerce_rational(value) -> Fraction:

@@ -30,7 +30,7 @@ from functools import cache, lru_cache
 from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterator
 
-from .core import _Record
+from ._base import _Record
 from .errors import DomainError
 from .rationals import DECIMAL_SIGNIFICANT_DIGITS, _decimal_context, coerce_index, coerce_rational
 from .rationals import decimal_str, ratio_str

@@ -18,7 +18,8 @@ from math import ceil
 from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import DigitStream, RadixExpansion, _check_base, _probe_memory, _Record, _Repeat, _set
+from ._base import _probe_memory, _Record, _set
+from .core import DigitStream, RadixExpansion, _check_base, _Repeat
 from .errors import DomainError, Infeasible
 from .rationals import _decimal_texts, _ratio_texts, coerce_index, coerce_rational
 

@@ -77,6 +77,48 @@ def test_malformed_rational_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+_GEOMETRIC = "geometric:start,factor,max with integers start and max and a rational factor"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["floor-average", "--x", "x", "--n", "3"],
+            "argument --x: expected a rational such as 1/4 or 0.25: "
+            "cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+        ),
+        (
+            ["schedule", "--x1", "1/4", "--x2", "3/4", "--eps", "1/0", "--n", "5"],
+            "argument --eps: expected a rational such as 1/4 or 0.25: cannot parse rational '1/0': the denominator is 0",
+        ),
+        (
+            ["construct-freq", "--tau", "1/2,x", "--count", "3"],
+            "argument --tau: expected comma-separated rationals t0,t1,...: "
+            "cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+        ),
+        (
+            ["stats", "--base", "3", "--checkpoints", "geometric:10,2,abc"],
+            f"argument --checkpoints: expected {_GEOMETRIC}: invalid literal for int() with base 10: 'abc'",
+        ),
+        (
+            ["stats", "--base", "3", "--checkpoints", "geometric:10,1/0,100"],
+            f"argument --checkpoints: expected {_GEOMETRIC}: cannot parse rational '1/0': the denominator is 0",
+        ),
+        (
+            ["stats", "--base", "3", "--checkpoints", "list:1,a"],
+            "argument --checkpoints: expected list:n1,n2,... of integers: invalid literal for int() with base 10: 'a'",
+        ),
+    ],
+    ids=["rational", "zero-denominator", "rational-list", "geometric-max", "geometric-factor", "list"],
+)
+def test_bad_argument_says_what_is_expected_and_why(capsys, argv, message):
+    # the message names the expected form and the parser's reason, never a private function of the CLI
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert (exc.value.code, capsys.readouterr().err) == (2, f"error: usage: {message}\n")
+
+
 def test_stats_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"020202\n")))
     code, out, _ = run(
@@ -392,7 +434,9 @@ def test_stats_non_utf8_or_non_ascii_file_is_domain(capsys, tmp_path, data):
 _IMPORT_CHILD = """
 import sys
 bare = set(sys.modules)  # what the interpreter and its `site` load differs from host to host
-if len(sys.argv) > 1:
+if sys.argv[1:] == ["cli"]:
+    import digitstats.cli
+elif len(sys.argv) > 1:
     from digitstats.cli import run_cli
     assert run_cli(sys.argv[1:]) == 0
 else:
@@ -408,12 +452,14 @@ _NO_CONSTRUCT = {"digitstats.construct", *_UNNEEDED}
 _NO_OUTPUT_LAYERS = {"digitstats.stats", "csv", "json", *_NO_SIMULATE}
 _SUBMODULES = {
     f"digitstats.{name}"
-    for name in ("cli", "construct", "core", "errors", "rationals", "simulate", "stats", "_periods")
+    for name in ("cli", "construct", "core", "errors", "rationals", "simulate", "stats", "_base", "_periods")
 }
 _BLOCKS = ["construct-mean-nofreq", "--theta", "1", "--x1", "1/5", "--x2", "2/5", "--eps", "1/20", "--blocks", "5"]
-# (arguments, modules the run must not load); no arguments: a bare `import digitstats`
+# (arguments, modules the run must not load); no arguments: a bare `import digitstats`, and
+# ["cli"]: a bare `import digitstats.cli`
 IMPORT_TABLE = [
     pytest.param([], _SUBMODULES, id="import"),
+    pytest.param(["cli"], {"digitstats.core", *_NO_OUTPUT_LAYERS, *_NO_CONSTRUCT}, id="import-cli"),
     # statistics rows are written without `csv` or `json` in every format
     pytest.param(
         ["stats", "--base", "3", "--digits-file", "{digits}"], {"csv", "json", *_NO_SIMULATE, *_NO_CONSTRUCT}, id="stats"
@@ -446,7 +492,7 @@ IMPORT_TABLE = [
     ),
     pytest.param(
         ["simulate", "--base", "3", "--n", "10", "--trials", "2", "--seed", "1", "--workers", "1"],
-        _NO_CONSTRUCT | {"digitstats.stats", "csv", "json"},
+        _NO_CONSTRUCT | {"digitstats.core", "digitstats.stats", "csv", "json"},
         id="simulate",
     ),
 ]
@@ -456,7 +502,7 @@ IMPORT_TABLE = [
 def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, unloaded):
     digits = tmp_path / "digits.txt"
     digits.write_text("0120\n")
-    argv = [arg.format(digits=digits) for arg in argv] + (["--out", str(tmp_path / "out")] if argv else [])
+    argv = [arg.format(digits=digits) for arg in argv] + (["--out", str(tmp_path / "out")] if argv[1:] else [])
     env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_CHILD, *argv], env=env, capture_output=True, text=True, check=True

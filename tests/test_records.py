@@ -181,6 +181,32 @@ def test_restore_stays_unchecked(monkeypatch):
     assert digitstats.expand_rational(1, 6, 10) == record  # built by the same unchecked path
 
 
+# pickles (protocol 2) made when `_restore` lived in `core`: they name `digitstats.core._restore`
+OLD_PICKLES = [
+    (
+        b"\x80\x02cdigitstats.core\n_restore\nq\x00cdigitstats.stats\nPartialStats\nq\x01"
+        b"(K\x03K\x04K\x02K\x01K\x01\x87q\x02\x89tq\x03\x86q\x04Rq\x05.",
+        PartialStats(3, 4, (2, 1, 1)),
+    ),
+    (
+        b"\x80\x02cdigitstats.core\n_restore\nq\x00cdigitstats.core\nRadixExpansion\nq\x01"
+        b"K\nK\x01\x85q\x02K\x06\x85q\x03\x87q\x04\x86q\x05Rq\x06.",
+        RadixExpansion(10, (1,), (6,)),
+    ),
+    (
+        b"\x80\x02cdigitstats.core\n_restore\nq\x00cdigitstats.simulate\nExperimentConfig\nq\x01"
+        b"(K\x03K\nK\x02K\x01tq\x02\x86q\x03Rq\x04.",
+        ExperimentConfig(base=3, depth=10, trials=2, master_seed=1),
+    ),
+]
+
+
+@pytest.mark.parametrize("data, record", OLD_PICKLES, ids=[type(case[1]).__name__ for case in OLD_PICKLES])
+def test_pickles_that_name_core_restore_still_load(data, record):
+    clone = pickle.loads(data)
+    assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+
+
 # every message the dataclass versions raised, unchanged
 VALIDATION = [
     (RadixExpansion, (1, (), (0,)), "base must be an integer >= 2, got 1"),
