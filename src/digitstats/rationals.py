@@ -8,6 +8,7 @@ correctly rounded decimal with a fixed number of significant digits.
 
 from __future__ import annotations
 
+import sys
 from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +33,17 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, an integer, or a finite decimal, exactly.
 
     Decimal literals are converted without any float round trip, so
-    ``"0.2"`` becomes exactly 1/5.
+    ``"0.2"`` becomes exactly 1/5. An exponent whose magnitude exceeds
+    the int-string limit (`sys.get_int_max_str_digits`, or CPython's
+    default of 4300 where there is none) is refused before `Fraction`
+    builds its power of 10.
     """
+    _, e, exponent = text.strip().upper().rpartition("E")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal():
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise DomainError(f"cannot parse rational {text!r}: the exponent's magnitude exceeds {limit}")
     try:
         return Fraction(text.strip())
     except ValueError as exc:

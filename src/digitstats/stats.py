@@ -211,18 +211,16 @@ def _count(counts, chunk, start: int, end: int, base: int) -> None:
 
 _PIECE = 1 << 14  # digits per bit-plane pass of `_count_bytes`
 _PLANE_DIGITS = 3 << 10  # the shortest segment `_count_bytes` counts by bit planes, where they overtake `bytes.count`
+_CODES = bytes((1, 2, 4, 8, 16, 32, 64, 128, 0b11, 0b1100))  # `_count_bytes`' code of each digit below 10
 
 
 @cache
-def _planes() -> tuple[bytes, tuple[int, ...]]:
-    """(ONE_HOT, PLANES) for `_count_bytes`, built on first use, not at import.
+def _planes() -> tuple[int, ...]:
+    """PLANES for `_count_bytes`, built on first use, not at import.
 
-    ONE_HOT is a `bytes.translate` table that sends digit d < 8 to the byte
-    1 << d and every other byte to 0; PLANES[d] is an int of _PIECE bytes
-    with bit d set in each.
+    PLANES[d] is an int of _PIECE bytes with bit d set in each.
     """
-    one_hot = bytes(1 << d if d < 8 else 0 for d in range(256))
-    return one_hot, tuple(int.from_bytes(bytes((1 << d,)) * _PIECE, "little") for d in range(8))
+    return tuple(int.from_bytes(bytes((1 << d,)) * _PIECE, "little") for d in range(8))
 
 
 def _count_bytes(counts, digits: bytes, start: int, end: int, base: int) -> None:
@@ -230,25 +228,37 @@ def _count_bytes(counts, digits: bytes, start: int, end: int, base: int) -> None
 
     A segment of at least _PLANE_DIGITS digits is counted by bit planes,
     a piece of up to _PIECE digits at a time: one `translate` makes each
-    digit d < 8 the byte 1 << d, one `int.from_bytes` reads the piece, and
-    N_d is the `bit_count` of its AND with plane d; digits from 8 up keep
+    digit d < 8 the byte 1 << d, 8 the byte 0b11 and 9 the byte 0b1100,
+    one `int.from_bytes` reads the piece, and N_d for d < 8 is the
+    `bit_count` of its AND with plane d. Only the codes of 8 and 9 hold
+    two adjacent bits, so in ``pairs = bits & bits >> 1`` N_8 is the
+    `bit_count` on plane 0 and N_9 on plane 2; each is then taken back
+    from the two planes its code set. Digits from 10 up keep
     `bytes.count`. A shorter segment, where the planes' fixed cost loses,
     and base 2, whose long runs `bytes.count` predicts well, are counted
     with `bytes.count` alone.
-    Each value is counted on its own, so a byte not below `base` is in no
-    count and leaves the counts short of the segment's length.
+    Each value is counted on its own, and a byte not below `base` has no
+    code, so it is in no count and leaves the counts short of the
+    segment's length.
     """
     if base == 2 or end - start < _PLANE_DIGITS:
         for digit in range(base):
             counts[digit] += digits.count(digit, start, end)
         return
-    one_hot, planes = _planes()
+    codes, planes = _CODES[:base].ljust(256, b"\0"), _planes()[:base]  # a byte not below the base codes to 0
     for at in range(start, end, _PIECE):
         piece = digits[at : min(end, at + _PIECE)]
-        bits = int.from_bytes(piece.translate(one_hot), "little")
-        for digit, plane in enumerate(planes[:base]):
+        bits = int.from_bytes(piece.translate(codes), "little")
+        for digit, plane in enumerate(planes):
             counts[digit] += (bits & plane).bit_count()
-        for digit in range(8, base):
+        if base > 8:
+            pairs = bits & bits >> 1
+            for digit, low in ((8, 0), (9, 2))[: base - 8]:
+                paired = (pairs & planes[low]).bit_count()
+                counts[digit] += paired
+                counts[low] -= paired
+                counts[low + 1] -= paired
+        for digit in range(10, base):
             counts[digit] += piece.count(digit)
 
 
@@ -368,6 +378,8 @@ def geometric_checkpoints(start: int, factor, max_depth: int) -> list[int]:
     # log2(f) >= min(f - 1, 1), so there are at most 2 + log2(max_depth / start) / min(f - 1, 1) depths
     count = min(max_depth - start + 1, 2 + (max_depth.bit_length() - start.bit_length() + 1) * q // min(p - q, q))
     _probe_memory(_DEPTH_BYTES * count, f"{count} checkpoints")
+    if (p - q) * max_depth <= q:  # each step below max_depth grows by less than 1, so every depth is hit
+        return list(range(start, max_depth + 1))
     # x / 2**shift tracks v_k = start * f**k, f = p/q, from below. Each
     # step's floor x*p//q loses less than 1, so after k steps x falls short
     # of v_k * 2**shift by less than 1 + f + ... + f**(k-1) < f**k / (f-1)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import digitstats
 from digitstats import no_mean_example, quota_construct, FrequencyProfile
-from digitstats.cli import run_cli
+from digitstats.cli import build_parser, run_cli
 
 from fractions import Fraction
 
@@ -117,6 +118,79 @@ def test_bad_argument_says_what_is_expected_and_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert (exc.value.code, capsys.readouterr().err) == (2, f"error: usage: {message}\n")
+
+
+_CPU_BOUND_CHILD = (
+    "import resource, runpy, sys\n"
+    "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+    "sys.argv[0] = 'digitstats'\n"
+    "runpy.run_module('digitstats.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["floor-average", "--x", "1e999999999", "--n", "3"], "--x"),
+        (["construct-freq", "--tau", "1e-999999999,1", "--count", "3"], "--tau"),
+        (["schedule", "--x1", "1/5", "--x2", "2/5", "--eps", "1e-999999999", "--n", "5"], "--eps"),
+        (["stats", "--base", "3", "--checkpoints", "geometric:1,1e999999999,10"], "--checkpoints"),
+    ],
+    ids=["x", "tau", "eps", "geometric-factor"],
+)
+def test_a_huge_exponent_is_refused_at_once(argv, option):
+    # Fraction would build 10**999999999 first, for minutes; the child is killed after 10 s of CPU
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _CPU_BOUND_CHILD, *argv], input="", env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: usage: argument {option}: expected ") and result.stderr.count("\n") == 1
+    assert "the exponent's magnitude exceeds" in result.stderr
+
+
+HELP = Path(__file__).parent / "help"
+COMMANDS = [
+    "digits", "stats", "construct-freq", "construct-mean-nofreq", "no-mean-example", "floor-average", "schedule",
+    "simulate",
+]
+
+
+@pytest.mark.parametrize("name", ["digitstats", *COMMANDS])
+def test_help_text_is_pinned(capsys, monkeypatch, name):
+    # tests/help/<name>.txt holds `digitstats --help` or `digitstats <name> --help` at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"] if name == "digitstats" else [name, "--help"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, (HELP / f"{name}.txt").read_text())
+
+
+def test_help_and_usage_formatted_without_a_parse_hold_every_argument(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+
+    def subparsers():  # each subcommand's parser in a new parser, before any parse
+        (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    for name in COMMANDS:
+        text = (HELP / f"{name}.txt").read_text()
+        assert subparsers()[name].format_help() == text
+        assert text.startswith(subparsers()[name].format_usage() + "\n")
+
+
+def test_a_run_adds_only_its_own_subcommands_arguments(monkeypatch):
+    # the top parser's --help, then the four of no-mean-example: --help, --out, --format and --count
+    added = []
+    real = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(
+        argparse._ActionsContainer, "add_argument", lambda self, *a, **k: added.append(a) or real(self, *a, **k)
+    )
+    args = build_parser().parse_args(["no-mean-example", "--count", "3"])
+    assert args.count == 3
+    assert [names[-1] for names in added] == ["--help", "--help", "--out", "--format", "--count"]
 
 
 def test_stats_from_stdin(capsys, monkeypatch):

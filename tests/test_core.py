@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, count, islice, product
@@ -29,6 +30,7 @@ from digitstats import (
     no_mean_zero_run_ends,
     normality_experiment,
     parse_expansion,
+    parse_rational,
     quota_construct,
     running_stats,
     text_to_digits,
@@ -124,6 +126,19 @@ def test_round_trip_fuzz():
             # q in {1, 2}: 0 -> 0.(0) and e.g. 1/2 -> 0.5(0) in base 10,
             # so the length can reach q but never exceed it
             assert total <= 2
+
+
+def test_parse_rational_refuses_an_exponent_past_the_int_string_limit():
+    # Fraction would build 10**999999999 first; at the limit itself the power is still built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    began = time.process_time()
+    for text in ("1e999999999", "1e-999999999", f"1E+{limit + 1}", f"2.5e-{limit + 1}", "1e" + "9" * 10**5):
+        with pytest.raises(DomainError, match=f"the exponent's magnitude exceeds {limit}$"):
+            parse_rational(text)
+    assert time.process_time() - began < 0.1
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f" 1e-{limit}\n") == Fraction(1, 10**limit)
+    assert parse_rational("2.5E+03") == 2500
 
 
 def test_expand_rational_terminating_uses_zero_period():

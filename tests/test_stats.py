@@ -8,6 +8,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -417,6 +418,50 @@ def test_fine_geometric_checkpoints_take_linear_time():
     assert depths == list(range(1, 10**4 + 1))
 
 
+def loop_checkpoints(start, factor, max_depth):
+    """Oracle: the depths by the shifted-integer loop `geometric_checkpoints` runs outside its every-depth case."""
+    p, q = Fraction(factor).numerator, Fraction(factor).denominator
+    slack = p * max_depth
+    shift = slack.bit_length() + 64
+    top = max_depth << shift
+    depths = {max_depth}
+    x, k = start << shift, 0
+    while x <= top:
+        if x + slack <= top and x >> shift == (x + slack) >> shift:
+            depths.add(x >> shift)
+        else:
+            num, den = start * p**k, q**k
+            if num > max_depth * den:
+                break
+            depths.add(num // den)
+        x = x * p // q
+        k += 1
+    return sorted(depths)
+
+
+def test_geometric_checkpoints_where_each_step_grows_by_less_than_1_match_the_loop():
+    # f = p/q with (p - q) * max_depth <= q: every depth from start to max_depth, as the loop finds them
+    rng = random.Random(28)
+    for _ in range(400):
+        max_depth = rng.randint(1, 200)
+        start = rng.randint(1, max_depth)
+        q = rng.randint(max_depth, 3 * max_depth)
+        p = q + rng.randint(1, q // max_depth)
+        factor = Fraction(p, q)
+        assert geometric_checkpoints(start, factor, max_depth) == loop_checkpoints(start, factor, max_depth)
+        # at the bound, (p - q) * max_depth == q, just past it (2 * max_depth > 2 * max_depth - 1), and at twice it
+        for factor in (1 + Fraction(1, max_depth), 1 + Fraction(2, 2 * max_depth - 1), 1 + Fraction(2, max_depth)):
+            assert geometric_checkpoints(start, factor, max_depth) == loop_checkpoints(start, factor, max_depth)
+
+
+@pytest.mark.parametrize("factor", ["1.000001", "1.0000001", "1.0000000001"])
+def test_geometric_checkpoints_with_a_factor_near_1_take_no_step_per_factor(factor):
+    began = time.process_time()
+    depths = geometric_checkpoints(1, factor, 1000)
+    assert time.process_time() - began < 0.05
+    assert depths == list(range(1, 1001))
+
+
 @pytest.mark.parametrize(
     "start,factor,max_depth",
     [(1, "1001/1000", 10**4), (1, "1.0001", 10**4), (50, "13/7", 2000), (7, "9/8", 10**9), (1, "2", 2**80),
@@ -670,6 +715,30 @@ def test_long_literal_segments_match_a_bytes_count_oracle(monkeypatch, base):
                     rows = running_stats(stream, marks)
                     assert [(r.n, r.counts, r.truncated) for r in rows] == expected, (length, marks)
     assert bool(plane_runs) == (base != 2)  # base 2 keeps `bytes.count`
+
+
+@pytest.mark.parametrize("base", [*range(2, 11), 11, 16, 256])
+def test_count_bytes_matches_a_bytes_count_of_each_value(base):
+    # random and run-heavy digits, with bytes not below the base scattered and in a run, at lengths around
+    # the plane threshold and the piece, from an unaligned start to an unaligned end: each value below the
+    # base counts as `bytes.count` counts it, into a list or a Counter, and no other byte counts
+    rng = random.Random(base)
+    threshold, piece = stats._PLANE_DIGITS, stats._PIECE
+    bad = [b for b in (base, 8, 9, 10, 11, 255) if base <= b < 256]
+    for length in (threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 2 * piece + 3):
+        for digits in long_literals(rng, base, length + 64):
+            digits = bytearray(digits)
+            if bad:
+                for _ in range(9):
+                    digits[rng.randrange(len(digits))] = rng.choice(bad)
+                at = rng.randrange(len(digits) - 40)
+                digits[at : at + 40] = bytes((rng.choice(bad),)) * 40
+            start = rng.randrange(1, 32)
+            end = start + length
+            expected = [digits.count(d, start, end) for d in range(base)]
+            for counts in ([0] * base, Counter()):
+                stats._count_bytes(counts, bytes(digits), start, end, base)
+                assert [counts[d] for d in range(base)] == expected, (length, start)
 
 
 @pytest.mark.parametrize("base,bad", [(3, 5), (8, 8), (9, 9), (10, 10), (10, 255)])
