@@ -81,9 +81,11 @@ class _Subparser(_Parser):
 
 def _rational(text: str, expected: str = "a rational such as 1/4 or 0.25") -> Fraction:
     try:
-        return parse_rational(text)
-    except DomainError as exc:
+        value = parse_rational(text)
+        ratio_str(value)  # as the output renders it: more digits than the int-string limit raise ValueError here
+    except ValueError as exc:  # DomainError is one
         raise argparse.ArgumentTypeError(f"expected {expected}: {exc}") from None
+    return value
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:

@@ -47,7 +47,7 @@ class _Repeat:
     """A chunk of the first `length` digits of `unit` repeated: a run when `unit` is one digit long.
 
     `unit` is a non-empty bytes of digit values, or a tuple of ints above
-    base 10. Its ``len()`` is `length`, and a prefix cut (``[:count]``,
+    base 256. Its ``len()`` is `length`, and a prefix cut (``[:count]``,
     the only cut `_first` makes) is a shorter repeat, so a chunk's digits
     cost nothing until they are read: counting reads the unit
     (``stats.running_stats``), and `_pieces` writes it out.
@@ -82,14 +82,8 @@ def _check_base(base: int) -> int:
     return value
 
 
-def _check_digits(digits: Iterable, base: int, depth: int | None = None) -> _Chunk:
-    """`digits` as a chunk: a bytes of their values up to base 10, else a tuple of ints (see `_checked_word`)."""
-    word = _checked_word(digits, base, depth)
-    return tuple(word) if 10 < base <= 256 else word
-
-
 def _checked_word(digits: Iterable, base: int, depth: int | None = None) -> Union[bytes, tuple]:
-    """`digits`, any iterable of them, checked: a bytes of their values up to base 256, else a tuple of ints.
+    """`digits`, any iterable of them, checked, as a chunk: a bytes of values up to base 256, else a tuple of ints.
 
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
@@ -135,8 +129,8 @@ class DigitStream:
     callable returning an iterator of chunks, whose reader needs no digit
     past depth `stop` (None: all of them). A chunk is one of three kinds:
 
-    * a ``bytes`` of digit values (only up to base 10);
-    * a tuple of ints;
+    * a ``bytes`` of digit values, in every base up to 256;
+    * a tuple of ints, only above base 256;
     * a `_Repeat`: a run of one digit, or a period, repeated to a length.
       Block runs, the no-mean runs and every short period come as these,
       so counting costs one step per run or period, not per digit.
@@ -197,9 +191,9 @@ class DigitStream:
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
-        """The digits of `digits`, checked here and held as one chunk (see `_check_digits`)."""
+        """The digits of `digits`, checked here and held as one chunk (see `_checked_word`)."""
         b = _check_base(base)
-        data = _check_digits(digits, b)
+        data = _checked_word(digits, b)
         return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
@@ -208,7 +202,7 @@ class DigitStream:
 
         See :func:`text_to_digits`. The one pass that reads the text checks
         it whole, as :meth:`from_file` checks a file, so a digit out of range
-        is an error too; its digits are held as bytes up to base 10, else ints.
+        is an error too; its digits are held as bytes up to base 256, else ints.
         """
         b = _check_base(base)
         data = _text_digits(text, b, b)
@@ -260,7 +254,7 @@ class DigitStream:
     @classmethod
     def constant(cls, digit: int, base: int) -> "DigitStream":
         b = _check_base(base)
-        return cls._trusted(b, None, _periodic((), _check_digits((digit,), b), b))
+        return cls._trusted(b, None, _periodic(_checked_word((digit,), b)))
 
     @classmethod
     def from_function(
@@ -282,24 +276,17 @@ class DigitStream:
     def from_expansion(cls, expansion: "RadixExpansion") -> "DigitStream":
         """Unbounded stream: the preperiod once, then the period forever."""
         b = expansion.base
-        return cls._trusted(b, None, _periodic(expansion.preperiod, expansion.period, b))
+        return with_prefix(expansion.preperiod, cls._trusted(b, None, _periodic(_checked_word(expansion.period, b))))
 
 
-def _periodic(pre: Sequence[int], period: Sequence[int], base: int) -> Callable[..., Iterator[_Chunk]]:
-    """Chunks of the valid digits `pre` once, then `period` forever.
+def _periodic(period: _Chunk) -> Callable[..., Iterator[_Chunk]]:
+    """Chunks of `period`, a non-empty chunk of valid digits, repeated forever.
 
-    `pre` is one chunk, and each later one a `_Repeat` of whole periods,
-    about _REPEAT_DIGITS digits long; units are bytes up to base 10, else
-    tuples.
+    Each chunk is the same `_Repeat` of whole periods, about _REPEAT_DIGITS
+    digits long, so its unit is a bytes up to base 256, else a tuple.
     """
-    pack = bytes if base <= 10 else tuple
-    pre, period = pack(pre), pack(period)
     repeat = _Repeat(period, len(period) * max(1, _REPEAT_DIGITS // len(period)))
-
-    def chunks(stop: int | None = None) -> Iterator[_Chunk]:
-        return itertools.chain((pre,), itertools.repeat(repeat))
-
-    return chunks
+    return lambda stop=None: itertools.repeat(repeat)
 
 
 def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., Iterator[_Chunk]]:
@@ -309,16 +296,16 @@ def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., I
     `_Repeat` chunks (see `_periodic`); a longer one is made again for
     each repeat, so no more than one chunk is held whatever the period's
     length. The first chunk stops at depth `stop`. Chunks are bytes up to
-    base 10, else tuples.
+    base 256, else tuples.
     """
-    pack = bytes if base <= 10 else tuple
+    pack = bytes if base <= 256 else tuple
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
         size = _CHUNK_DIGITS if stop is None else min(_CHUNK_DIGITS, stop)
         digits = period()
         head = pack(itertools.islice(digits, size))
         if len(head) < size:
-            yield from _periodic((), head, base)()
+            yield from _periodic(head)()
             return
         yield head
         digits = itertools.chain(digits, itertools.chain.from_iterable(iter(period, None)))  # one period() a repeat
@@ -376,7 +363,7 @@ def _take(chunks: Iterable[_Chunk], count: int) -> list[int]:
 
 
 def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_Chunk]:
-    """`digits` in checked chunks (see `_check_digits`), none read past depth `stop`.
+    """`digits` in checked chunks (see `_checked_word`), none read past depth `stop`.
 
     With no `stop` each chunk holds one digit, so no digit is made before
     it is read.
@@ -386,7 +373,7 @@ def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_
         raw = tuple(itertools.islice(digits, 1 if stop is None else min(_CHUNK_DIGITS, stop - depth)))
         if not raw:
             return
-        yield _check_digits(raw, base, depth)
+        yield _checked_word(raw, base, depth)
         depth += len(raw)
 
 
@@ -598,7 +585,7 @@ def evaluate_expansion(expansion: RadixExpansion) -> Fraction:
 
 def with_prefix(prefix: Iterable[int], tail: DigitStream) -> DigitStream:
     """Stream emitting the `prefix` digits, then `tail` unchanged."""
-    pre = _check_digits(prefix, tail.base)
+    pre = _checked_word(prefix, tail.base)
     length = None if tail.length is None else tail.length + len(pre)
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
@@ -619,9 +606,10 @@ _RUN_TEXT = tuple("0123456789")  # the text of each digit up to base 10, which a
 def digits_to_text(digits: Iterable[int], base: int) -> str:
     """The digit-text format: ``0120`` for bases up to 10, ``11,0,3`` above.
 
-    The digits must already lie in [0, base).
+    The digits are checked as `DigitStream.from_digits` checks them, so one
+    not in [0, base) raises DomainError.
     """
-    return "".join(_digit_text(((bytes if base <= 10 else tuple)(digits),), base))
+    return "".join(_digit_text((_checked_word(digits, _check_base(base)),), base))
 
 
 def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
@@ -676,14 +664,14 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
 
 
 def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int, limit: int | None) -> Union[bytes, tuple]:
-    """A digit text's digits, checked below `limit` (None: syntax only): a bytes of values up to base 10, else a tuple.
+    """A digit text's digits, checked below `limit` (None: syntax only): `_digit_chunks`' chunks joined.
 
     `text` is a str, UTF-8 bytes or byte pieces, which may cut a UTF-8 sequence; faults are named as in a file.
     """
     if isinstance(text, str):
         text = _ascii(text, base)
     chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, limit)
-    return b"".join(chunks) if base <= 10 else tuple(itertools.chain.from_iterable(chunks))
+    return b"".join(chunks) if base <= 10 or limit and limit <= 256 else tuple(itertools.chain.from_iterable(chunks))
 
 
 def _ascii(text: str, base: int) -> bytes:
@@ -710,10 +698,11 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     base 10 one ``translate`` per piece deletes ASCII whitespace and turns
     each digit into its value and every other byte into 0xFF, which
     rejects the piece; a chunk is the bytes of the values. Above, a piece
-    of ASCII digits, commas and whitespace is read as tokens, so a chunk
-    is a tuple of ints, and a token that runs to the end of a piece is
-    carried into the next one, unless it is longer than int() reads
-    (`longest`): that is a fault at once, in linear time.
+    of ASCII digits, commas and whitespace is read as tokens, and a chunk
+    is the bytes of their values where `limit` is at most 256, else a
+    tuple of ints. A token that runs to the end of a piece is carried
+    into the next one, unless it is longer than int() reads (`longest`):
+    that is a fault at once, in linear time.
 
     From the first fault on nothing more is yielded, and the rest of
     `pieces` is read once, to the end, keeping nothing: each piece is
@@ -728,6 +717,7 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     if base <= 10:
         top = 10 if limit is None else limit
         table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
+    pack = tuple if limit is None or limit > 256 else bytes  # the token step's chunk
     allowed = _DIGIT_CHARS + b"," + _SPACE
     decoder = codecs.getincrementaldecoder("utf-8")()  # reads the pieces from the first fault on
     faulty, too_long, carry = False, False, b""
@@ -755,13 +745,18 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
             tokens = (carry + piece).replace(b",", b" ").split()
             carry = tokens.pop() if piece[-1:].isdigit() else b""
             try:
-                values = tuple(map(int, tokens))
-            except ValueError:  # a token longer than int() reads
-                values = None
+                values = pack(map(int, tokens))
+            except ValueError:  # a token longer than int() reads, or a digit of 256 or more for bytes
+                try:
+                    values = tuple(map(int, tokens))  # ints tell the two apart, on the fault path only
+                except ValueError:
+                    values = None
             if values is None or len(carry) > longest:  # no token is read past the first too long
                 faulty = too_long = True
                 continue
-        if first_out is None and limit is not None and values and max(values) >= limit:
+        if first_out is None and limit is not None and values and (
+            values.translate(None, _BYTE_VALUES[:limit]) if values.__class__ is bytes else max(values) >= limit
+        ):
             faulty, first_out = True, next(digit for digit in values if digit >= limit)
         elif not faulty:
             yield values

@@ -183,34 +183,32 @@ def running_stats(stream: DigitStream, checkpoints: Sequence[int]) -> list[Parti
 def _count(counts, chunk, start: int, end: int, base: int) -> None:
     """Add the counts of the digits of ``chunk[start:end]`` to `counts`, a list or Counter.
 
-    A `_Repeat` of a unit of P digits is counted from its unit: the tail
-    of the copy that `start` falls in, the whole copies after it times
-    their count, and the head of the copy that `end` falls in, so no
-    more than about 3P digits are read.
+    A literal chunk is counted by `_count_bytes`. A `_Repeat` of a unit of
+    P digits is counted from its unit: the tail of the copy that `start`
+    falls in, the whole copies after it times their count, and the head
+    of the copy that `end` falls in, so no more than about 3P digits are
+    read.
     """
-    if isinstance(chunk, bytes):  # digit values; only streams of base <= 10 make them
-        _count_bytes(counts, chunk, start, end, base)
-    elif isinstance(chunk, _Repeat):
-        unit = chunk.unit
-        size = len(unit)
-        (first, start), (last, end) = divmod(start, size), divmod(end, size)
-        if first == last:
-            _count(counts, unit, start, end, base)
-            return
-        _count(counts, unit, start, size, base)
-        _count(counts, unit, 0, end, base)
-        if last - first > 1:
-            whole: Counter[int] = Counter()
-            _count(whole, unit, 0, size, base)
-            for digit, count in whole.items():
-                counts[digit] += count * (last - first - 1)
-    else:
-        for digit, count in Counter(chunk[start:end]).items():
-            counts[digit] += count
+    if chunk.__class__ is not _Repeat:
+        return _count_bytes(counts, chunk, start, end, base)
+    unit = chunk.unit
+    size = len(unit)
+    (first, start), (last, end) = divmod(start, size), divmod(end, size)
+    if first == last:
+        _count(counts, unit, start, end, base)
+        return
+    _count(counts, unit, start, size, base)
+    _count(counts, unit, 0, end, base)
+    if last - first > 1:
+        whole: Counter[int] = Counter()
+        _count(whole, unit, 0, size, base)
+        for digit, count in whole.items():
+            counts[digit] += count * (last - first - 1)
 
 
 _PIECE = 1 << 14  # digits per bit-plane pass of `_count_bytes`
 _PLANE_DIGITS = 3 << 10  # the shortest segment `_count_bytes` counts by bit planes, where they overtake `bytes.count`
+_COUNTER_BASE = 44  # above this base one `Counter` pass beats a `bytes.count` pass per value on every segment
 _CODES = bytes((1, 2, 4, 8, 16, 32, 64, 128, 0b11, 0b1100))  # `_count_bytes`' code of each digit below 10
 
 
@@ -223,43 +221,47 @@ def _planes() -> tuple[int, ...]:
     return tuple(int.from_bytes(bytes((1 << d,)) * _PIECE, "little") for d in range(8))
 
 
-def _count_bytes(counts, digits: bytes, start: int, end: int, base: int) -> None:
+def _count_bytes(counts, digits, start: int, end: int, base: int) -> None:
     """Add the count of each digit value below `base` in ``digits[start:end]`` to `counts`.
 
-    A segment of at least _PLANE_DIGITS digits is counted by bit planes,
-    a piece of up to _PIECE digits at a time: one `translate` makes each
-    digit d < 8 the byte 1 << d, 8 the byte 0b11 and 9 the byte 0b1100,
-    one `int.from_bytes` reads the piece, and N_d for d < 8 is the
-    `bit_count` of its AND with plane d. Only the codes of 8 and 9 hold
-    two adjacent bits, so in ``pairs = bits & bits >> 1`` N_8 is the
-    `bit_count` on plane 0 and N_9 on plane 2; each is then taken back
-    from the two planes its code set. Digits from 10 up keep
-    `bytes.count`. A shorter segment, where the planes' fixed cost loses,
-    and base 2, whose long runs `bytes.count` predicts well, are counted
-    with `bytes.count` alone.
-    Each value is counted on its own, and a byte not below `base` has no
-    code, so it is in no count and leaves the counts short of the
-    segment's length.
+    `digits` is a bytes, or above base 256 a tuple of ints. The method
+    follows from the base and the segment's length alone. Above
+    _COUNTER_BASE, and on fewer than (base - 9)**2 digits, one `Counter`
+    pass costs least. Otherwise a segment of at least _PLANE_DIGITS
+    digits is counted by bit planes, a piece of up to _PIECE digits at a
+    time: one `translate` makes each digit d < 8 the byte 1 << d, 8 the
+    byte 0b11 and 9 the byte 0b1100, one `int.from_bytes` reads the
+    piece, and N_d for d < 8 is the `bit_count` of its AND with plane d.
+    Only the codes of 8 and 9 hold two adjacent bits, so in ``pairs =
+    bits & bits >> 1`` N_8 is the `bit_count` on plane 0 and N_9 on plane
+    2; each is then taken back from the two planes its code set. Values
+    from 10 up, every value of a shorter segment and base 2, whose long
+    runs `bytes.count` predicts well, take one `bytes.count` pass each.
+    Each value is counted on its own, and a byte not below `base` is in
+    no count, so it leaves the counts short of the segment's length.
     """
-    if base == 2 or end - start < _PLANE_DIGITS:
-        for digit in range(base):
-            counts[digit] += digits.count(digit, start, end)
+    if base > 10 and (base > _COUNTER_BASE or end - start < (base - 9) ** 2):
+        for digit, count in Counter(digits[start:end]).items():
+            if digit < base:
+                counts[digit] += count
         return
-    codes, planes = _CODES[:base].ljust(256, b"\0"), _planes()[:base]  # a byte not below the base codes to 0
-    for at in range(start, end, _PIECE):
-        piece = digits[at : min(end, at + _PIECE)]
-        bits = int.from_bytes(piece.translate(codes), "little")
-        for digit, plane in enumerate(planes):
-            counts[digit] += (bits & plane).bit_count()
-        if base > 8:
-            pairs = bits & bits >> 1
-            for digit, low in ((8, 0), (9, 2))[: base - 8]:
-                paired = (pairs & planes[low]).bit_count()
-                counts[digit] += paired
-                counts[low] -= paired
-                counts[low + 1] -= paired
-        for digit in range(10, base):
-            counts[digit] += piece.count(digit)
+    counted = 0  # the values below it are counted by bit planes
+    if base != 2 and end - start >= _PLANE_DIGITS:
+        counted, planes = min(base, 10), _planes()[:base]
+        codes = _CODES[:base].ljust(256, b"\0")  # a byte not below the base codes to 0
+        for at in range(start, end, _PIECE):
+            bits = int.from_bytes(digits[at : min(end, at + _PIECE)].translate(codes), "little")
+            for digit, plane in enumerate(planes):
+                counts[digit] += (bits & plane).bit_count()
+            if base > 8:
+                pairs = bits & bits >> 1
+                for digit, low in ((8, 0), (9, 2))[: base - 8]:
+                    paired = (pairs & planes[low]).bit_count()
+                    counts[digit] += paired
+                    counts[low] -= paired
+                    counts[low + 1] -= paired
+    for digit in range(counted, base):
+        counts[digit] += digits.count(digit, start, end)
 
 
 def mean_from_frequencies(profile: FrequencyProfile) -> Fraction:

@@ -150,6 +150,22 @@ def test_a_huge_exponent_is_refused_at_once(argv, option):
     assert "the exponent's magnitude exceeds" in result.stderr
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="needs an int-string limit")
+def test_a_rational_with_more_digits_than_the_int_string_limit_is_a_usage_error(capsys):
+    # 1e-4300 passes the exponent check, but its denominator has 4301 digits, which no output can render:
+    # it is refused as the argument is parsed, not by a traceback from the rendering
+    limit = sys.get_int_max_str_digits()
+    env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1]), "PYTHONINTMAXSTRDIGITS": str(limit)}
+    argv = ["floor-average", "--x", f"1e-{limit}", "--n", "5"]
+    result = subprocess.run(
+        [sys.executable, "-c", _CPU_BOUND_CHILD, *argv], input="", env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: usage: argument --x: expected ") and result.stderr.count("\n") == 1
+    assert run_cli(["floor-average", "--x", f"1e-{limit - 1}", "--n", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == f"1/{10 ** (limit - 1)}"
+
+
 HELP = Path(__file__).parent / "help"
 COMMANDS = [
     "digits", "stats", "construct-freq", "construct-mean-nofreq", "no-mean-example", "floor-average", "schedule",

@@ -1,5 +1,7 @@
 """Tests for exact expansions and digit streams."""
 
+import io
+import os
 import random
 import sys
 import time
@@ -7,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, count, islice, product
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +40,7 @@ from digitstats import (
     trial_seed,
     with_prefix,
 )
-from digitstats import _periods
+from digitstats import _periods, construct
 from digitstats.rationals import decimal_str
 
 
@@ -883,3 +886,64 @@ def test_public_integer_sizes_reject_non_integers(name, call, bad):
     with pytest.raises(DomainError) as caught:
         call(bad)
     assert str(caught.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("digits, base, bad", [([1, 12, 3], 10, 12), ([1, 300], 10, 300), ([1, -1], 16, -1)])
+def test_digits_to_text_checks_its_digits(digits, base, bad):
+    # a digit not in [0, base) has no digit text that reads back as it, so it is refused like from_digits refuses it
+    with pytest.raises(DomainError, match=f"^digit {bad} out of range for base {base}$"):
+        digits_to_text(digits, base)
+
+
+def chunk_kinds(stream: DigitStream) -> set[type]:
+    """The types of the literal digits of a stream's first chunks: the chunks, or their units where they repeat."""
+    return {type(c.unit if isinstance(c, core._Repeat) else c) for c in islice(stream._chunks(), 4)}
+
+
+@pytest.mark.parametrize("base", [11, 16, 256, 257])
+def test_every_stream_holds_its_digits_as_bytes_up_to_base_256(tmp_path, base):
+    # a byte holds every digit up to base 256, so no constructor keeps a tuple there; above, all keep tuples
+    rng = random.Random(base)
+    digits = [base - 1, 0, *(rng.randrange(base) for _ in range(40))]
+    text = digits_to_text(digits, base)
+    path = tmp_path / "digits.txt"
+    path.write_text(text)
+    profile = FrequencyProfile(base, [Fraction(1, 3), Fraction(2, 3), *[0] * (base - 2)])
+    streams = {
+        "from_digits": DigitStream.from_digits(digits, base),
+        "from_text": DigitStream.from_text(text, base),
+        "from_file": DigitStream.from_file(path, base),
+        "_read_once": DigitStream._read_once(io.BytesIO(text.encode()), base),
+        "constant": DigitStream.constant(base - 1, base),
+        "from_expansion": DigitStream.from_expansion(expand_rational(1, 14, base)),
+        "with_prefix": with_prefix(digits, DigitStream.constant(1, base)),
+        "DigitStream": DigitStream(base, lambda: iter(digits), len(digits)),
+        "DigitStream, unbounded": DigitStream(base, lambda: iter(digits)),
+        "from_function": DigitStream.from_function(lambda n: digits[n - 1], base, len(digits)),
+        "quota": construct._quota_stream(profile, 10**6),
+        "_head": DigitStream.from_digits(digits, base)._head(5),
+    }
+    if Path("/dev/fd").is_dir():
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        with open(read, "rb") as pipe:
+            streams["a pipe"] = DigitStream.from_file(f"/dev/fd/{pipe.fileno()}", base)
+    for name, stream in streams.items():
+        assert chunk_kinds(stream) == ({bytes} if base <= 256 else {tuple}), name
+
+
+@pytest.mark.parametrize("base", [16, 256])
+def test_from_digits_of_a_tuple_keeps_one_byte_a_digit(base):
+    # the checked bytes are the chunk: no tuple of 8 bytes a digit is built again beside the caller's
+    count = 10**6
+    digits = tuple(random.Random(base).randbytes(count).translate(bytes(b % base for b in range(256))))
+    tracemalloc.start()
+    try:
+        stream = DigitStream.from_digits(digits, base)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * count, kept / count
+    assert stream.length == count
+    assert stream.take(9) == list(digits[:9])

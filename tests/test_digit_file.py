@@ -400,6 +400,79 @@ def test_a_held_text_is_checked_as_it_is_read_and_not_copied():
         DigitStream.from_text(text, 9)
 
 
+def reference_tokens(data: bytes, base: int, limit: int | None) -> list[int] | str:
+    """Oracle for token text: decode it whole, find a bad character, split, `int` each token, check the range.
+
+    It returns the digits, or the message of the fault the reader must raise.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"invalid digit character {exc.object[exc.start : exc.end]!r}: the input is not UTF-8"
+    bad = _NOT_TOKEN_TEXT.search(text)
+    if bad is not None:
+        return f"invalid digit character {bad.group()!r}"
+    try:
+        digits = [int(token) for token in text.replace(",", " ").split()]
+    except ValueError:  # longer than int() reads
+        return "digit token too long"
+    out = [digit for digit in digits if limit is not None and digit >= limit]
+    return f"digit {out[0]} out of range for base {base}" if out else digits
+
+
+def random_token_text(rng: random.Random, base: int, size: int, faults: float) -> bytes:
+    """`size` tokens below `base`, some with leading zeros; a share `faults` of them faults of any kind."""
+    longest = getattr(sys, "get_int_max_str_digits", int)()
+    parts = []
+    for _ in range(size):
+        roll = rng.random() / faults if faults else 1
+        if roll < 0.4:
+            parts.append(rng.choice(FAULTS))
+            continue
+        if roll < 0.8:  # out of range: just past the base, past a byte, past a machine word
+            token = str(rng.choice([base, base + 1, 255, 256, 257, 300, 2**64, 10**30]))
+        elif roll < 1 and longest:  # at the int-string limit, or one digit past it
+            token = "7" * (longest + rng.choice([0, 1]))
+        else:
+            token = str(rng.randrange(base))
+        separator = rng.choice([",", " ", "\n", "\r\n", ", ", ",,"])
+        parts.append(("0" * rng.choice([0, 0, 0, 1, 2, 5]) + token + separator).encode())
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("base", [11, 16, 36, 255, 256, 257, 300])
+def test_the_token_reader_matches_a_plain_reader(base):
+    # random token texts, clean and with every kind of fault, cut into pieces of 1 byte to 64 KiB, so each
+    # token, character and fault meets a piece end: the reader yields the digits the plain reader reads, as
+    # bytes up to base 256 and ints above, or raises the fault it names; text_to_digits checks no range
+    rng = random.Random(base)
+    texts = [random_token_text(rng, base, rng.choice([1, 5, 40, 200]), rng.choice([0, 0.01, 0.05])) for _ in range(60)]
+    longest = b"9" * (getattr(sys, "get_int_max_str_digits", int)() + 1)
+    texts += [b"", b"0" * 9 + str(base - 1).encode(), b"00" + str(base).encode(), b"1" * 70000 + b",x"]
+    texts += [b"1,256,2 " + longest, b"300 " + longest + b" x", b"3," + b"9" * 30 + b",1", b"256,\xff"]
+    texts += [random_token_text(rng, base, 40000, faults) for faults in (0, 0, 0.0001)]  # past a 64 KiB piece
+    for data in texts:
+        expected = reference_tokens(data, base, base)
+        sizes = (1, 2, 3, 7, 64, 4096, 1 << 16) if len(data) < 1000 else (4096, 1 << 16, 1 << 17)
+        for size in sizes:
+            pieces = [data[at : at + size] for at in range(0, len(data), size)]
+            chunks = []
+            try:
+                chunks.extend(core._digit_chunks(pieces, base, base))
+                got = [digit for chunk in chunks for digit in chunk]
+            except DomainError as exc:
+                got = str(exc)
+            assert got == expected, (data[:80], size)
+            assert {type(chunk) for chunk in chunks} <= {bytes if base <= 256 else tuple}, size
+        try:
+            got = list(DigitStream.from_text(data, base))
+        except DomainError as exc:
+            got = str(exc)
+        assert got == expected
+        if not isinstance(reference_tokens(data, base, None), str):
+            assert list(text_to_digits(data.decode(), base)) == reference_tokens(data, base, None)
+
+
 def test_text_to_digits_names_a_lone_surrogate():
     # surrogateescape'd stdin holds lone surrogates; they are named, not called non-UTF-8
     with pytest.raises(DomainError, match=r"invalid digit character '\\udcff'$"):

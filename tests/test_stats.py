@@ -580,7 +580,7 @@ def digit_by_digit_stats(digits, base, marks):
 
 def random_chunks(rng, base):
     """Chunks of every kind, mixed: literal bytes or tuples, runs and periods, with the digits they hold."""
-    pack = bytes if base <= 10 else tuple
+    pack = bytes if base <= 256 else tuple  # as the package packs them
     chunks, digits = [], []
     for _ in range(rng.randint(1, 7)):
         kind = rng.choice(["literal", "run", "period"])
@@ -717,15 +717,23 @@ def test_long_literal_segments_match_a_bytes_count_oracle(monkeypatch, base):
     assert bool(plane_runs) == (base != 2)  # base 2 keeps `bytes.count`
 
 
-@pytest.mark.parametrize("base", [*range(2, 11), 11, 16, 256])
-def test_count_bytes_matches_a_bytes_count_of_each_value(base):
+@pytest.mark.parametrize("base", [*range(2, 11), 11, 16, 36, 44, 45, 256])
+def test_count_bytes_matches_a_bytes_count_of_each_value(monkeypatch, base):
     # random and run-heavy digits, with bytes not below the base scattered and in a run, at lengths around
-    # the plane threshold and the piece, from an unaligned start to an unaligned end: each value below the
-    # base counts as `bytes.count` counts it, into a list or a Counter, and no other byte counts
+    # the plane threshold, the piece and the Counter cut-off, from an unaligned start to an unaligned end:
+    # each value below the base counts as `bytes.count` counts it, into a list or a Counter, and no other
+    # byte counts. The method follows the measured cut-offs: one Counter pass above base 44 and on fewer
+    # than (base - 9)**2 digits, else bit planes from the plane threshold up, except in base 2
+    passes, plane_runs = [], []
+    monkeypatch.setattr(stats, "Counter", lambda digits: passes.append(1) or Counter(digits))
+    monkeypatch.setattr(stats, "_planes", lambda real=stats._planes: plane_runs.append(1) or real())
     rng = random.Random(base)
     threshold, piece = stats._PLANE_DIGITS, stats._PIECE
     bad = [b for b in (base, 8, 9, 10, 11, 255) if base <= b < 256]
-    for length in (threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 2 * piece + 3):
+    short = (base - 9) ** 2 if base > 9 else 0
+    lengths = {threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 2 * piece + 3, 1, short - 1, short}
+    for length in sorted(length for length in lengths if length > 0):
+        by_counter = base > 44 or length < short
         for digits in long_literals(rng, base, length + 64):
             digits = bytearray(digits)
             if bad:
@@ -737,8 +745,12 @@ def test_count_bytes_matches_a_bytes_count_of_each_value(base):
             end = start + length
             expected = [digits.count(d, start, end) for d in range(base)]
             for counts in ([0] * base, Counter()):
+                passes.clear()
+                plane_runs.clear()
                 stats._count_bytes(counts, bytes(digits), start, end, base)
                 assert [counts[d] for d in range(base)] == expected, (length, start)
+                assert bool(passes) == by_counter, (length, passes)
+                assert bool(plane_runs) == (not by_counter and base != 2 and length >= threshold), length
 
 
 @pytest.mark.parametrize("base,bad", [(3, 5), (8, 8), (9, 9), (10, 10), (10, 255)])
