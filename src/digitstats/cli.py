@@ -82,8 +82,10 @@ class _Subparser(_Parser):
 def _rational(text: str, expected: str = "a rational such as 1/4 or 0.25") -> Fraction:
     try:
         value = parse_rational(text)
-        ratio_str(value)  # as the output renders it: more digits than the int-string limit raise ValueError here
-    except ValueError as exc:  # DomainError is one
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and max(abs(value.numerator), value.denominator) >= 10**limit:  # no output could render it
+            raise DomainError(f"its numerator or denominator has more than {limit} digits (PYTHONINTMAXSTRDIGITS)")
+    except DomainError as exc:
         raise argparse.ArgumentTypeError(f"expected {expected}: {exc}") from None
     return value
 

@@ -39,6 +39,7 @@ __all__ = [
 _CHUNK_BYTES = 1 << 16  # bytes read from a digit file at a time: below glibc's 128 KiB mmap threshold
 _CHUNK_DIGITS = 1 << 16  # digits per chunk cut from an iterator, and per piece a repeat is written in
 _REPEAT_DIGITS = 1 << 60  # about the most digits of one chunk of an unbounded period
+_BYTE_BASE = 256  # the largest base whose digits a chunk holds as a bytes of values; a tuple of ints above
 _BYTE_VALUES = bytes(range(256))
 _RUN_UNITS = tuple(_BYTE_VALUES[digit : digit + 1] for digit in range(256))  # the unit of a run of each digit
 
@@ -88,19 +89,21 @@ def _checked_word(digits: Iterable, base: int, depth: int | None = None) -> Unio
     A digit is accepted when `operator.index` accepts it and its value
     lies in [0, base); it is kept as a plain int. Up to base 256 one
     ``bytearray()`` conversion (faster than ``bytes()`` on a list; a bytes
-    is kept) does both in C, and one ``translate`` checks the range. Otherwise
-    DomainError names the first bad digit by its repr, as out of range;
-    when `digits` are a lazy stream's digits after depth `depth`, one
-    that is not an integer is named by its depth.
+    is kept) does both in C, and one ``translate`` checks the range; above,
+    a tuple of plain ints is kept, not copied. Otherwise DomainError names
+    the first bad digit by its repr, as out of range; when `digits` are a
+    lazy stream's digits after depth `depth`, one that is not an integer
+    is named by its depth.
     """
     digits = digits if isinstance(digits, (bytes, tuple, list)) else tuple(digits)  # a failed check reads them again
     try:
-        if base <= 256:
+        if base <= _BYTE_BASE:
             values = digits if digits.__class__ is bytes else bytes(bytearray(digits))
             if not values.translate(None, _BYTE_VALUES[:base]):
                 return values
         else:
-            values = tuple(map(operator.index, digits))
+            plain = digits.__class__ is tuple and set(map(type, digits)) <= {int}
+            values = digits if plain else tuple(map(operator.index, digits))
             if not values or (min(values) >= 0 and max(values) < base):
                 return values
     except (TypeError, ValueError):
@@ -177,7 +180,10 @@ class DigitStream:
     def take(self, count: int) -> list[int]:
         """First `count` digits (fewer if the stream is shorter)."""
         count = coerce_index(count, "count", 0)
-        return _take(self._chunks(count), count)
+        digits: list[int] = []
+        for piece in _pieces(_first(self._chunks(count), count)):
+            digits += piece
+        return digits
 
     def _head(self, count: int) -> "DigitStream":
         """A trusted stream of the first `count` digits, or of all of them if the stream is shorter."""
@@ -298,7 +304,7 @@ def _repeated(period: Callable[[], Iterator[int]], base: int) -> Callable[..., I
     length. The first chunk stops at depth `stop`. Chunks are bytes up to
     base 256, else tuples.
     """
-    pack = bytes if base <= 256 else tuple
+    pack = bytes if base <= _BYTE_BASE else tuple
 
     def chunks(stop: int | None = None) -> Iterator[_Chunk]:
         size = _CHUNK_DIGITS if stop is None else min(_CHUNK_DIGITS, stop)
@@ -352,14 +358,6 @@ def _first(chunks: Iterable[_Chunk], count: int) -> Iterator[_Chunk]:
             return
         yield chunk
         count -= size
-
-
-def _take(chunks: Iterable[_Chunk], count: int) -> list[int]:
-    """The first `count` digits of `chunks` as a list."""
-    digits: list[int] = []
-    for piece in _pieces(_first(chunks, count)):
-        digits += piece
-    return digits
 
 
 def _checked_chunks(digits: Iterator, base: int, stop: int | None) -> Iterator[_Chunk]:
@@ -669,21 +667,17 @@ def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int, limit: int
     `text` is a str, UTF-8 bytes or byte pieces, which may cut a UTF-8 sequence; faults are named as in a file.
     """
     if isinstance(text, str):
-        text = _ascii(text, base)
+        if not text.isascii():  # digit text is ASCII: name the first character of the fault
+            bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
+            raise DomainError(f"invalid digit character {bad.group()!r}")
+        text = text.encode("ascii")
     chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, limit)
-    return b"".join(chunks) if base <= 10 or limit and limit <= 256 else tuple(itertools.chain.from_iterable(chunks))
+    return b"".join(chunks) if _packs(base, limit) is bytes else tuple(itertools.chain.from_iterable(chunks))
 
 
-def _ascii(text: str, base: int) -> bytes:
-    """`text` as ASCII bytes for the digit-text reader.
-
-    Digit text is ASCII, so a `text` that is not holds a fault: its first
-    character that is not digit text is named here.
-    """
-    if not text.isascii():
-        bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
-        raise DomainError(f"invalid digit character {bad.group()!r}")
-    return text.encode("ascii")
+def _packs(base: int, limit: int | None) -> type:
+    """The type of `_digit_chunks`' chunks: bytes up to base 10, or when checked below a limit of at most _BYTE_BASE."""
+    return bytes if base <= 10 or limit is not None and limit <= _BYTE_BASE else tuple
 
 
 def _text_pieces(file) -> Iterator[bytes]:
@@ -700,9 +694,9 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     rejects the piece; a chunk is the bytes of the values. Above, a piece
     of ASCII digits, commas and whitespace is read as tokens, and a chunk
     is the bytes of their values where `limit` is at most 256, else a
-    tuple of ints. A token that runs to the end of a piece is carried
-    into the next one, unless it is longer than int() reads (`longest`):
-    that is a fault at once, in linear time.
+    tuple of ints (`_packs`). A token that runs to the end of a piece is
+    carried into the next one, unless it is longer than int() reads
+    (`longest`): that is a fault at once, in linear time.
 
     From the first fault on nothing more is yielded, and the rest of
     `pieces` is read once, to the end, keeping nothing: each piece is
@@ -717,7 +711,7 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     if base <= 10:
         top = 10 if limit is None else limit
         table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
-    pack = tuple if limit is None or limit > 256 else bytes  # the token step's chunk
+    pack = _packs(base, limit)  # the token step's chunk
     allowed = _DIGIT_CHARS + b"," + _SPACE
     decoder = codecs.getincrementaldecoder("utf-8")()  # reads the pieces from the first fault on
     faulty, too_long, carry = False, False, b""

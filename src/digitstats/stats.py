@@ -225,22 +225,22 @@ def _count_bytes(counts, digits, start: int, end: int, base: int) -> None:
     """Add the count of each digit value below `base` in ``digits[start:end]`` to `counts`.
 
     `digits` is a bytes, or above base 256 a tuple of ints. The method
-    follows from the base and the segment's length alone. Above
-    _COUNTER_BASE, and on fewer than (base - 9)**2 digits, one `Counter`
-    pass costs least. Otherwise a segment of at least _PLANE_DIGITS
-    digits is counted by bit planes, a piece of up to _PIECE digits at a
-    time: one `translate` makes each digit d < 8 the byte 1 << d, 8 the
-    byte 0b11 and 9 the byte 0b1100, one `int.from_bytes` reads the
-    piece, and N_d for d < 8 is the `bit_count` of its AND with plane d.
-    Only the codes of 8 and 9 hold two adjacent bits, so in ``pairs =
-    bits & bits >> 1`` N_8 is the `bit_count` on plane 0 and N_9 on plane
-    2; each is then taken back from the two planes its code set. Values
-    from 10 up, every value of a shorter segment and base 2, whose long
+    follows from the base and the segment's length alone. One `Counter`
+    pass counts above _COUNTER_BASE, and above base 10 a segment shorter
+    than _PLANE_DIGITS digits. Otherwise a segment of at least that many
+    is counted by bit planes, a piece of up to _PIECE digits at a time:
+    one `translate` makes each digit d < 8 the byte 1 << d, 8 the byte
+    0b11 and 9 the byte 0b1100, one `int.from_bytes` reads the piece, and
+    N_d for d < 8 is the `bit_count` of its AND with plane d. Only the
+    codes of 8 and 9 hold two adjacent bits, so in ``pairs = bits & bits
+    >> 1`` N_8 is the `bit_count` on plane 0 and N_9 on plane 2; each is
+    then taken back from the two planes its code set. Values from 10 up,
+    every value of a shorter segment up to base 10 and base 2, whose long
     runs `bytes.count` predicts well, take one `bytes.count` pass each.
     Each value is counted on its own, and a byte not below `base` is in
     no count, so it leaves the counts short of the segment's length.
     """
-    if base > 10 and (base > _COUNTER_BASE or end - start < (base - 9) ** 2):
+    if base > 10 and (base > _COUNTER_BASE or end - start < _PLANE_DIGITS):
         for digit, count in Counter(digits[start:end]).items():
             if digit < base:
                 counts[digit] += count

@@ -162,6 +162,8 @@ def test_a_rational_with_more_digits_than_the_int_string_limit_is_a_usage_error(
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error: usage: argument --x: expected ") and result.stderr.count("\n") == 1
+    message = f": its numerator or denominator has more than {limit} digits (PYTHONINTMAXSTRDIGITS)\n"
+    assert result.stderr.endswith(message)
     assert run_cli(["floor-average", "--x", f"1e-{limit - 1}", "--n", "5", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["x"] == f"1/{10 ** (limit - 1)}"
 

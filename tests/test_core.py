@@ -933,9 +933,10 @@ def test_every_stream_holds_its_digits_as_bytes_up_to_base_256(tmp_path, base):
         assert chunk_kinds(stream) == ({bytes} if base <= 256 else {tuple}), name
 
 
-@pytest.mark.parametrize("base", [16, 256])
+@pytest.mark.parametrize("base", [16, 256, 300])
 def test_from_digits_of_a_tuple_keeps_one_byte_a_digit(base):
-    # the checked bytes are the chunk: no tuple of 8 bytes a digit is built again beside the caller's
+    # the checked bytes are the chunk, and above base 256 the caller's tuple of ints is:
+    # no tuple of 8 bytes a digit is built again beside the caller's
     count = 10**6
     digits = tuple(random.Random(base).randbytes(count).translate(bytes(b % base for b in range(256))))
     tracemalloc.start()
@@ -947,3 +948,19 @@ def test_from_digits_of_a_tuple_keeps_one_byte_a_digit(base):
     assert kept < 1.5 * count, kept / count
     assert stream.length == count
     assert stream.take(9) == list(digits[:9])
+
+
+@pytest.mark.parametrize("base", [16, 256, 300])
+def test_from_expansion_keeps_at_most_one_byte_a_digit_beside_the_expansion(base):
+    # up to base 256 the digits are packed to bytes; above, the expansion's own tuples are the chunks
+    expansion = expand_rational(7, 100109 * 2**2000, base)
+    count = len(expansion.preperiod) + len(expansion.period)
+    assert count > 25000
+    tracemalloc.start()
+    try:
+        stream = DigitStream.from_expansion(expansion)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < (1.5 if base <= 256 else 0.1) * count, kept / count
+    assert stream.take(count + 9) == [*expansion.preperiod, *expansion.period, *expansion.period[:9]]

@@ -722,18 +722,16 @@ def test_count_bytes_matches_a_bytes_count_of_each_value(monkeypatch, base):
     # random and run-heavy digits, with bytes not below the base scattered and in a run, at lengths around
     # the plane threshold, the piece and the Counter cut-off, from an unaligned start to an unaligned end:
     # each value below the base counts as `bytes.count` counts it, into a list or a Counter, and no other
-    # byte counts. The method follows the measured cut-offs: one Counter pass above base 44 and on fewer
-    # than (base - 9)**2 digits, else bit planes from the plane threshold up, except in base 2
+    # byte counts. The method follows the measured cut-offs: one Counter pass above base 44, and above base
+    # 10 below the plane threshold, else bit planes from the plane threshold up, except in base 2
     passes, plane_runs = [], []
     monkeypatch.setattr(stats, "Counter", lambda digits: passes.append(1) or Counter(digits))
     monkeypatch.setattr(stats, "_planes", lambda real=stats._planes: plane_runs.append(1) or real())
     rng = random.Random(base)
     threshold, piece = stats._PLANE_DIGITS, stats._PIECE
     bad = [b for b in (base, 8, 9, 10, 11, 255) if base <= b < 256]
-    short = (base - 9) ** 2 if base > 9 else 0
-    lengths = {threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 2 * piece + 3, 1, short - 1, short}
-    for length in sorted(length for length in lengths if length > 0):
-        by_counter = base > 44 or length < short
+    for length in (1, threshold - 1, threshold, threshold + 1, piece - 1, piece, piece + 1, 2 * piece + 3):
+        by_counter = base > 44 or base > 10 and length < threshold
         for digits in long_literals(rng, base, length + 64):
             digits = bytearray(digits)
             if bad:
