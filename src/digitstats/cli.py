@@ -47,38 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: usage: {message}\n")
 
 
-class _Subparser(_Parser):
-    """A subcommand's parser that adds its arguments when it first parses or formats help.
-
-    `add_argument` only records each call, so a run builds the arguments
-    of the one subcommand it runs, not those of every subcommand.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._pending: list[tuple[tuple, dict]] = []  # first: `ArgumentParser.__init__` adds --help through it
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs) -> None:  # type: ignore[override]
-        self._pending.append((args, kwargs))
-
-    def _add_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        for args, kwargs in pending:
-            super().add_argument(*args, **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
-        self._add_pending()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_pending()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_pending()
-        return super().format_help()
-
-
 def _rational(text: str, expected: str = "a rational such as 1/4 or 0.25") -> Fraction:
     try:
         value = parse_rational(text)
@@ -385,9 +353,9 @@ def _cmd_simulate(args) -> _Output:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="digitstats", description="Exact digit statistics and constructions.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, handler, help_text: str) -> _Subparser:
+    def add(name: str, handler, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write output to this path instead of stdout")

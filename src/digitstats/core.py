@@ -211,7 +211,7 @@ class DigitStream:
         is an error too; its digits are held as bytes up to base 256, else ints.
         """
         b = _check_base(base)
-        data = _text_digits(text, b, b)
+        data = _text_digits(text, b)
         return cls._trusted(b, len(data), lambda stop=None: iter((data,)))
 
     @classmethod
@@ -242,8 +242,8 @@ class DigitStream:
                     raise DomainError(f"{os.fspath(path)!r} changed after it was checked")
                 yield from _text_pieces(file)
 
-        length = sum(map(len, _digit_chunks(raw(), b, b)))
-        return cls._trusted(b, length, lambda stop=None: _digit_chunks(raw(), b, b))
+        length = sum(map(len, _digit_chunks(raw(), b)))
+        return cls._trusted(b, length, lambda stop=None: _digit_chunks(raw(), b))
 
     @classmethod
     def _read_once(cls, file, base: int) -> "DigitStream":
@@ -254,7 +254,7 @@ class DigitStream:
         the rest of it to the next.
         """
         b = _check_base(base)
-        chunks = _digit_chunks(_text_pieces(file), b, b)
+        chunks = _digit_chunks(_text_pieces(file), b)
         return cls._trusted(b, None, lambda stop=None: chunks)
 
     @classmethod
@@ -614,24 +614,18 @@ def _digit_text(chunks: Iterable[_Chunk], base: int) -> Iterator[str]:
     """The digit-text format of the digits of `chunks`, one str per piece (see `_pieces`).
 
     Joined, the strs are `digits_to_text` of all the digits: up to base
-    10 a run of one piece is its digit's text from `_RUN_TEXT` repeated, a
-    repeat of one piece is its unit's text repeated, and each other
-    ``bytes`` piece is translated to ASCII digits; above, the tokens of a
-    piece are joined by commas, with one more comma before every piece
-    but the first that holds a digit. In every base a piece that is the
-    previous piece object again, as a repeat's pieces are, is not
-    rendered again.
+    10 a run of one piece is its digit's text from `_RUN_TEXT` repeated,
+    and each other ``bytes`` piece is translated to ASCII digits; above,
+    the tokens of a piece are joined by commas, with one more comma before
+    every piece but the first that holds a digit. In every base a piece
+    that is the previous piece object again, as a repeat's pieces are, is
+    not rendered again.
     """
     previous = text = None
     if base <= 10:
         for chunk in chunks:
-            if chunk.__class__ is _Repeat and chunk.length <= _CHUNK_DIGITS:  # one piece, as most runs are
-                unit, length = chunk.unit, chunk.length
-                if len(unit) == 1:
-                    yield _RUN_TEXT[unit[0]] * length
-                else:
-                    unit = unit.translate(_DIGIT_TO_CHAR).decode("ascii")  # a char a digit
-                    yield (unit * -(-length // len(unit)))[:length]
+            if chunk.__class__ is _Repeat and chunk.length <= _CHUNK_DIGITS and len(chunk.unit) == 1:  # most runs
+                yield _RUN_TEXT[chunk.unit[0]] * chunk.length
                 continue
             for piece in _pieces((chunk,)):
                 if piece is not previous:
@@ -653,16 +647,15 @@ def text_to_digits(text: str, base: int) -> tuple[int, ...]:
     For bases up to 10 every digit is one ASCII character ``0``-``9``;
     above 10 digits are ASCII ``[0-9]+`` tokens separated by commas or
     whitespace. Anything else, such as non-ASCII digits, signs or
-    underscores, raises DomainError naming the first such character.
-    Only the syntax is checked here: the stream or expansion built from
-    the digits checks that they lie below the base. The text goes through
-    the same byte reader as a digit file.
+    underscores, raises DomainError naming the first such character, and
+    so does a digit not below the base, or a base below 2. The text goes
+    through the same byte reader as a digit file.
     """
-    return tuple(_text_digits(text, base, None))
+    return tuple(_text_digits(text, _check_base(base)))
 
 
-def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int, limit: int | None) -> Union[bytes, tuple]:
-    """A digit text's digits, checked below `limit` (None: syntax only): `_digit_chunks`' chunks joined.
+def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int) -> Union[bytes, tuple]:
+    """A digit text's digits, checked below `base`: `_digit_chunks`' chunks joined.
 
     `text` is a str, UTF-8 bytes or byte pieces, which may cut a UTF-8 sequence; faults are named as in a file.
     """
@@ -671,13 +664,8 @@ def _text_digits(text: Union[str, bytes, Iterable[bytes]], base: int, limit: int
             bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
             raise DomainError(f"invalid digit character {bad.group()!r}")
         text = text.encode("ascii")
-    chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base, limit)
-    return b"".join(chunks) if _packs(base, limit) is bytes else tuple(itertools.chain.from_iterable(chunks))
-
-
-def _packs(base: int, limit: int | None) -> type:
-    """The type of `_digit_chunks`' chunks: bytes up to base 10, or when checked below a limit of at most _BYTE_BASE."""
-    return bytes if base <= 10 or limit is not None and limit <= _BYTE_BASE else tuple
+    chunks = _digit_chunks([text] if isinstance(text, bytes) else text, base)
+    return b"".join(chunks) if base <= _BYTE_BASE else tuple(itertools.chain.from_iterable(chunks))
 
 
 def _text_pieces(file) -> Iterator[bytes]:
@@ -685,18 +673,18 @@ def _text_pieces(file) -> Iterator[bytes]:
     return iter(functools.partial(file.read, _CHUNK_BYTES), b"")
 
 
-def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iterator[_Chunk]:
+def _digit_chunks(pieces: Iterable[bytes], base: int) -> Iterator[_Chunk]:
     """The digit values of the digit text that `pieces` hold, each piece checked as it arrives.
 
-    Digits must lie below `limit`; None checks the syntax only. Up to
-    base 10 one ``translate`` per piece deletes ASCII whitespace and turns
-    each digit into its value and every other byte into 0xFF, which
-    rejects the piece; a chunk is the bytes of the values. Above, a piece
-    of ASCII digits, commas and whitespace is read as tokens, and a chunk
-    is the bytes of their values where `limit` is at most 256, else a
-    tuple of ints (`_packs`). A token that runs to the end of a piece is
-    carried into the next one, unless it is longer than int() reads
-    (`longest`): that is a fault at once, in linear time.
+    Digits must lie below `base`. Up to base 10 one ``translate`` per
+    piece deletes ASCII whitespace and turns each digit below the base
+    into its value and every other byte into 0xFF, which rejects the
+    piece; a chunk is the bytes of the values. Above, a piece of ASCII
+    digits, commas and whitespace is read as tokens, and a chunk is the
+    bytes of their values up to base 256, else a tuple of ints. A token
+    that runs to the end of a piece is carried into the next one, unless
+    it is longer than int() reads (`longest`): that is a fault at once,
+    in linear time.
 
     From the first fault on nothing more is yielded, and the rest of
     `pieces` is read once, to the end, keeping nothing: each piece is
@@ -705,13 +693,12 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
     is the one reading the whole text meets first: bytes that are not
     UTF-8 anywhere, else the first character that is not digit text, else
     a token too long for int() anywhere, else the first digit not below
-    `limit`.
+    `base`.
     """
     longest = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # unbounded on Python 3.10 or at 0
     if base <= 10:
-        top = 10 if limit is None else limit
-        table = bytes(byte - 48 if 48 <= byte < 48 + top else 0xFF for byte in range(256))
-    pack = _packs(base, limit)  # the token step's chunk
+        table = bytes(byte - 48 if 48 <= byte < 48 + base else 0xFF for byte in range(256))
+    pack = bytes if base <= _BYTE_BASE else tuple  # the token step's chunk
     allowed = _DIGIT_CHARS + b"," + _SPACE
     decoder = codecs.getincrementaldecoder("utf-8")()  # reads the pieces from the first fault on
     faulty, too_long, carry = False, False, b""
@@ -748,10 +735,10 @@ def _digit_chunks(pieces: Iterable[bytes], base: int, limit: int | None) -> Iter
             if values is None or len(carry) > longest:  # no token is read past the first too long
                 faulty = too_long = True
                 continue
-        if first_out is None and limit is not None and values and (
-            values.translate(None, _BYTE_VALUES[:limit]) if values.__class__ is bytes else max(values) >= limit
+        if first_out is None and values and (
+            values.translate(None, _BYTE_VALUES[:base]) if values.__class__ is bytes else max(values) >= base
         ):
-            faulty, first_out = True, next(digit for digit in values if digit >= limit)
+            faulty, first_out = True, next(digit for digit in values if digit >= base)
         elif not faulty:
             yield values
     if not_utf8 is not None:
@@ -787,4 +774,5 @@ def parse_expansion(text: str) -> RadixExpansion:
         b = int(base_text)
     except ValueError:  # longer than int() reads
         raise DomainError("expansion base too long") from None
-    return RadixExpansion(b, _text_digits(pre_text, b, None), _text_digits(per_text, b, None))
+    _check_base(b)  # outside the try: a DomainError is a ValueError
+    return RadixExpansion(b, _text_digits(pre_text, b), _text_digits(per_text, b))

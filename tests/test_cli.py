@@ -199,18 +199,6 @@ def test_help_and_usage_formatted_without_a_parse_hold_every_argument(monkeypatc
         assert text.startswith(subparsers()[name].format_usage() + "\n")
 
 
-def test_a_run_adds_only_its_own_subcommands_arguments(monkeypatch):
-    # the top parser's --help, then the four of no-mean-example: --help, --out, --format and --count
-    added = []
-    real = argparse._ActionsContainer.add_argument
-    monkeypatch.setattr(
-        argparse._ActionsContainer, "add_argument", lambda self, *a, **k: added.append(a) or real(self, *a, **k)
-    )
-    args = build_parser().parse_args(["no-mean-example", "--count", "3"])
-    assert args.count == 3
-    assert [names[-1] for names in added] == ["--help", "--help", "--out", "--format", "--count"]
-
-
 def test_stats_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"020202\n")))
     code, out, _ = run(

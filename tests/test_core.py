@@ -1,5 +1,6 @@
 """Tests for exact expansions and digit streams."""
 
+import functools
 import io
 import os
 import random
@@ -446,6 +447,16 @@ def test_evaluate_expansions_of_random_digits_match_the_merge():
             assert evaluate_expansion(expansion) == merged_value(expansion), expansion
 
 
+def test_digits_value_matches_horners_rule():
+    # the merge reads up to base 10 in text pieces of _VALUE_DIGITS digits; around each piece edge it must
+    # give the value a digit at a time gives (`merged_value`, the oracle above, reads values through it)
+    rng = random.Random(600)
+    for base in (2, 3, 10, 12):
+        for length in (0, 1, 599, 600, 601, 1199, 1200, 1201, 1800, 2501):
+            digits = [rng.randrange(base) for _ in range(length)]
+            assert _periods._digits_value(digits, base) == functools.reduce(lambda v, d: v * base + d, digits, 0)
+
+
 def test_evaluate_expansion_rejects_a_round_trip_with_one_period_digit_changed():
     """The leading digits still give p/q, of the right preperiod and period lengths: only the last check rejects it."""
     rng = random.Random(99991)
@@ -855,12 +866,16 @@ def test_parse_expansion_rejects_overlong_base():
         parse_expansion("0.(1)_" + "9" * 5000)
 
 
-def test_text_to_digits_leaves_range_to_the_stream():
-    digits = text_to_digits("0150", 3)
-    assert digits == (0, 1, 5, 0)
+def test_text_to_digits_checks_its_base_and_its_digits():
     with pytest.raises(DomainError, match="digit 5 out of range for base 3"):
-        DigitStream.from_digits(digits, 3)
-    with pytest.raises(DomainError):
+        text_to_digits("0150", 3)
+    for base in (1, 0, -5, 2.5):
+        with pytest.raises(DomainError, match="base must be an integer >= 2"):
+            text_to_digits("0120", base)
+    for base in (1, 0):  # the base is named before a digit of the expansion is read
+        with pytest.raises(DomainError, match=f"base must be an integer >= 2, got {base}"):
+            parse_expansion(f"0.(1)_{base}")
+    with pytest.raises(DomainError, match="digit 5 out of range for base 3"):
         parse_expansion("0.(5)_3")
 
 
