@@ -1,49 +1,19 @@
-"""Long periods: their digits past the walk, and the values of expansions.
+"""The values of expansions.
 
-`core.expand_rational` loads this module only for a period longer than its
-walk, and `core.evaluate_expansion` when it is first called, so the CLI
-subcommands that make no long period never compile it.
+`core.evaluate_expansion` loads this module when it is first called, so
+the CLI subcommands that evaluate no expansion never compile it.
 """
 
 from __future__ import annotations
 
-import decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 from .core import _DIGIT_TO_CHAR, RadixExpansion, _prime_cofactors, _strip_base, expand_rational
 
-_FORMAT_CODES = {2: "b", 8: "o", 16: "x"}  # bases whose digits `format` renders in linear time
-_FORMAT_TO_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _VALUE_DIGITS = 600  # digits per piece `_digits_value` reads as text, below the smallest int-string limit, 640
 _LEGENDRE_BITS = 129  # bits of the leading digits a value is read from: every denominator below 2**64 is found
-
-
-def rest_of_period(period: list[int], remainder: int, q: int, base: int, count: int) -> tuple[int, ...]:
-    """The walked digits `period`, then the next `count` digits of remainder/q.
-
-    Read as one integer, the `count` digits are the floor of ``remainder *
-    base**count / q``. In base 10 a ``decimal`` context precise enough for
-    all of them, with rounding trapped, divides and renders it
-    (``sys.set_int_max_str_digits`` does not bound a ``Decimal``); in bases
-    2, 8 and 16 a shift, one division and ``format`` do, in linear time.
-    Other bases take one division per digit, with no remainder compared,
-    as the period's length is known.
-    """
-    if base == 10:
-        traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]  # none can occur at this precision
-        context = decimal.Context(count + q.bit_length(), Emax=decimal.MAX_EMAX, traps=traps)
-        tail = str(context.divide_int(decimal.Decimal(remainder).scaleb(count, context), q))
-    elif base in _FORMAT_CODES:
-        tail = format((remainder << (base.bit_length() - 1) * count) // q, _FORMAT_CODES[base])
-    else:
-        for _ in range(count):
-            remainder *= base
-            period.append(remainder // q)
-            remainder %= q
-        return tuple(period)
-    return tuple(bytes(period) + tail.zfill(count).encode("ascii").translate(_FORMAT_TO_DIGIT))
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:

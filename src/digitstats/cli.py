@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import shutil
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from ._base import _probe_memory
 from .errors import DomainError, Infeasible
-from .rationals import coerce_index, decimal_str, parse_rational, ratio_str
+from .rationals import _int_text_limit, coerce_index, decimal_str, parse_rational, ratio_str
 
 if TYPE_CHECKING:  # annotations only: only the handlers that read or write digits load `core`
     from .core import DigitStream
@@ -50,8 +51,8 @@ class _Parser(argparse.ArgumentParser):
 def _rational(text: str, expected: str = "a rational such as 1/4 or 0.25") -> Fraction:
     try:
         value = parse_rational(text)
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-        if limit and max(abs(value.numerator), value.denominator) >= 10**limit:  # no output could render it
+        limit = _int_text_limit()
+        if max(abs(value.numerator), value.denominator) >= 10**limit:  # no output could render it
             raise DomainError(f"its numerator or denominator has more than {limit} digits (PYTHONINTMAXSTRDIGITS)")
     except DomainError as exc:
         raise argparse.ArgumentTypeError(f"expected {expected}: {exc}") from None
@@ -351,6 +352,30 @@ def _cmd_simulate(args) -> _Output:
 # ------------------------------------------------------------------ parser
 
 
+def _usage(prog: str, arguments: Iterable[str]) -> str:
+    """argparse's ``usage=`` text: `prog` and its `arguments`, each kept whole, wrapped greedily as help text is.
+
+    argparse wraps the usage it builds differently from one Python version
+    to the next (3.13 keeps an option with its value, 3.11 may part them),
+    so every parser is given its usage, and help text is the same on all.
+    """
+    width = shutil.get_terminal_size().columns - 2  # argparse's help width
+    lines = [prog]
+    for argument in arguments:
+        if len(f"usage: {lines[-1]} {argument}") > width and lines[-1].strip():
+            lines.append(" " * len(prog))
+        lines[-1] += f" {argument}"
+    return "\n       ".join(lines)
+
+
+def _option_usage(action: argparse.Action) -> str:
+    """An option as argparse's usage shows it: ``[-h]``, ``--base BASE`` or ``[--format {table,csv,json}]``."""
+    text = action.option_strings[0]
+    if action.nargs != 0:  # every option but -h takes a value
+        text += " {" + ",".join(action.choices) + "}" if action.choices else f" {action.dest.upper()}"
+    return text if action.required else f"[{text}]"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="digitstats", description="Exact digit statistics and constructions.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -422,6 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=_rational, default=Fraction(33, 1000))
     p.add_argument("--workers", type=int, default=1)
 
+    # set last: `add_parser` names a subcommand after the usage argparse builds for `parser`
+    for p in sub.choices.values():
+        p.usage = _usage(p.prog, map(_option_usage, p._actions))
+    parser.usage = _usage(parser.prog, ("[-h]", "{" + ",".join(sub.choices) + "}", "..."))
     return parser
 
 

@@ -9,20 +9,20 @@ integer arithmetic; values round-trip bit-exactly.
 from __future__ import annotations
 
 import codecs
+import decimal
 import functools
 import itertools
 import operator
 import os
 import re
 import stat
-import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._base import _probe_memory, _Record, _restore  # pickles made before `_base` name `core._restore`
 from .errors import DomainError
-from .rationals import coerce_index
+from .rationals import _int_text_limit, coerce_index
 
 __all__ = [
     "DigitStream",
@@ -434,7 +434,8 @@ def _prime_cofactors(n: int) -> tuple[int, ...]:
     return tuple(w for i, w in enumerate(divisors) if all(v % w for v in divisors[i + 1 :]))
 
 
-_DIVISION_DIGITS = 256  # period digits walked one at a time, each with a remainder compare
+_FORMAT_CODES = {2: "b", 8: "o", 16: "x"}  # bases whose digits `format` renders in linear time
+_FORMAT_TO_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _BABY_STEPS = 1 << 16  # most baby steps of the order search, for a modulus of up to 64 bits
 
 
@@ -481,31 +482,46 @@ def _strip_base(q: int, base: int) -> tuple[int, int]:
     return m, q
 
 
+def _digits(p: int, q: int, base: int, count: int) -> tuple[int, ...]:
+    """The first `count` digits of p/q in `base`, for 0 <= p < q.
+
+    Read as one integer, they are the floor of ``p * base**count / q``. In
+    base 10 a ``decimal`` context precise enough for all of them, with
+    rounding trapped, divides and renders it (``sys.set_int_max_str_digits``
+    does not bound a ``Decimal``); in bases 2, 8 and 16 a shift, one
+    division and ``format`` do, in linear time. Other bases take one
+    division per digit.
+    """
+    if base == 10:
+        traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]  # none can occur at this precision
+        context = decimal.Context(count + q.bit_length(), Emax=decimal.MAX_EMAX, traps=traps)
+        text = str(context.divide_int(decimal.Decimal(p).scaleb(count, context), q))
+    elif base in _FORMAT_CODES:
+        text = format((p << (base.bit_length() - 1) * count) // q, _FORMAT_CODES[base])
+    else:
+        digits = []
+        for _ in range(count):
+            p *= base
+            digits.append(p // q)
+            p %= q
+        return tuple(digits)
+    return tuple(text.zfill(count).encode("ascii").translate(_FORMAT_TO_DIGIT))
+
+
 def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
     """Expand p/q in [0, 1) by exact long division.
 
-    The preperiod has one digit for each time the reduced denominator
-    must be divided by its gcd with the base before the two are coprime;
-    after it the remainders cycle, and the period ends where its first
-    remainder recurs. This yields the canonical form directly: the
-    preperiod is minimal, the period is primitive, and a reduced
-    denominator whose primes all divide the base terminates with period
-    ``(0,)``. Each of the preperiod and period is shorter than the reduced
-    denominator. So the result skips ``RadixExpansion``'s checks
-    (`_restore`).
-
-    The division runs in three steps:
-
-    * **Walk.** The preperiod and up to ``_DIVISION_DIGITS`` period
-      digits come one at a time, with one remainder compare per digit;
-      this closes every period up to that long.
-    * **Order search.** A period still open has length L, the order of
-      the base modulo the reduced denominator with the base's primes
-      removed; `_order` finds it without making a digit, and a period
-      that cannot fit in memory raises MemoryError here.
-    * **The rest.** `_periods.rest_of_period` makes the other
-      digits: in bases 2, 8, 10 and 16 by one exact division, in linear
-      time; other bases take one division per digit.
+    In lowest terms, the preperiod has m digits, one for each time q must
+    be divided by its gcd with the base before the two are coprime
+    (`_strip_base`), and the period's length L is the order of the base
+    modulo what is left of q (`_order`, which finds it without making a
+    digit); a q whose primes all divide the base leaves 1, and its period
+    is ``(0,)``. The first m + L digits of p/q (`_digits`) are then the
+    preperiod and the period. This yields the canonical form directly: the
+    preperiod is minimal, the period is primitive, and each is shorter
+    than the reduced denominator. So the result skips ``RadixExpansion``'s
+    checks (`_restore`). An expansion that cannot fit in memory raises
+    MemoryError before any digit is made.
 
     The endpoint x = 1 is rejected: it has no digit string starting "0.",
     so this package works on [0, 1).
@@ -523,39 +539,11 @@ def expand_rational(p: int, q: int, base: int) -> RadixExpansion:
         raise DomainError(f"{p}/{q} lies outside [0, 1]")
     g = gcd(p, q)
     p, q = p // g, q // g
-    preperiod_length, rest = _strip_base(q, b)
-    preperiod = []
-    remainder = p
-    for _ in range(preperiod_length):
-        remainder *= b
-        preperiod.append(remainder // q)
-        remainder %= q
-    if remainder == 0:
-        return _restore(RadixExpansion, (b, tuple(preperiod), (0,)))
-    first = remainder
-    period = []
-    # The walk's one compare bounds it: the target is the remainder
-    # _DIVISION_DIGITS digits on, which a longer period first meets after
-    # exactly that many digits and a shorter one meets at its close or
-    # sooner, and then walks on to `first`. A period is shorter than
-    # `rest`, so a small `rest` needs no target.
-    target = first if rest <= _DIVISION_DIGITS else first * pow(b, _DIVISION_DIGITS, q) % q
-    while True:
-        remainder *= b
-        period.append(remainder // q)
-        remainder %= q
-        if remainder == target:
-            if remainder == first:
-                return _restore(RadixExpansion, (b, tuple(preperiod), tuple(period)))
-            if len(period) == _DIVISION_DIGITS:
-                break
-            target = first
-    length = _order(b, rest)
-    _probe_memory(8 * length, f"a period of {length} digits")
-    from ._periods import rest_of_period
-
-    period = rest_of_period(period, remainder, q, b, length - _DIVISION_DIGITS)
-    return _restore(RadixExpansion, (b, tuple(preperiod), period))
+    m, rest = _strip_base(q, b)
+    count = m + (1 if rest == 1 else _order(b, rest))
+    _probe_memory(8 * count, f"an expansion of {count} digits")
+    digits = _digits(p, q, b, count)
+    return _restore(RadixExpansion, (b, digits[:m], digits[m:]))
 
 
 def evaluate_expansion(expansion: RadixExpansion) -> Fraction:
@@ -597,6 +585,7 @@ _DIGIT_CHARS = b"0123456789"
 _NOT_DIGIT_TEXT = re.compile(f"[^0-9{_SPACE.decode()}]")
 _NOT_TOKEN_TEXT = re.compile(f"[^0-9,{_SPACE.decode()}]")
 _CHAR_TO_DIGIT = bytes.maketrans(_DIGIT_CHARS, bytes(range(10)))
+_DIGIT_TO_ONE = bytes.maketrans(_DIGIT_CHARS, b"1" * 10)  # a token becomes a run of 1s as long as it
 _DIGIT_TO_CHAR = bytes.maketrans(bytes(range(10)), _DIGIT_CHARS)
 _RUN_TEXT = tuple("0123456789")  # the text of each digit up to base 10, which a run repeats
 
@@ -682,9 +671,9 @@ def _digit_chunks(pieces: Iterable[bytes], base: int) -> Iterator[_Chunk]:
     piece; a chunk is the bytes of the values. Above, a piece of ASCII
     digits, commas and whitespace is read as tokens, and a chunk is the
     bytes of their values up to base 256, else a tuple of ints. A token
-    that runs to the end of a piece is carried into the next one, unless
-    it is longer than int() reads (`longest`): that is a fault at once,
-    in linear time.
+    that runs to the end of a piece is carried into the next one. A token
+    longer than `_int_text_limit` digits is a fault at once, wherever the
+    pieces cut it, in linear time.
 
     From the first fault on nothing more is yielded, and the rest of
     `pieces` is read once, to the end, keeping nothing: each piece is
@@ -692,10 +681,9 @@ def _digit_chunks(pieces: Iterable[bytes], base: int) -> Iterator[_Chunk]:
     and tokens are read as before until one is too long. The fault raised
     is the one reading the whole text meets first: bytes that are not
     UTF-8 anywhere, else the first character that is not digit text, else
-    a token too long for int() anywhere, else the first digit not below
-    `base`.
+    a token too long anywhere, else the first digit not below `base`.
     """
-    longest = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # unbounded on Python 3.10 or at 0
+    overlong = b"1" * (_int_text_limit() + 1)  # a token past the bound, as `_DIGIT_TO_ONE` maps it
     if base <= 10:
         table = bytes(byte - 48 if 48 <= byte < 48 + base else 0xFF for byte in range(256))
     pack = bytes if base <= _BYTE_BASE else tuple  # the token step's chunk
@@ -718,23 +706,21 @@ def _digit_chunks(pieces: Iterable[bytes], base: int) -> Iterator[_Chunk]:
                 not_utf8 = not_utf8 or exc.object[exc.start : exc.end]
                 continue
             bad = bad or (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
-            if bad or too_long:
+            if bad or too_long or piece.translate(None, allowed):  # a character cut at the piece's end is bad whole
                 continue
         if base <= 10:
             values = piece.translate(_CHAR_TO_DIGIT, _SPACE)
         else:
-            tokens = (carry + piece).replace(b",", b" ").split()
+            data = carry + piece
+            if overlong in data.translate(_DIGIT_TO_ONE):  # no token is read past the first too long
+                faulty = too_long = True
+                continue
+            tokens = data.replace(b",", b" ").split()
             carry = tokens.pop() if piece[-1:].isdigit() else b""
             try:
                 values = pack(map(int, tokens))
-            except ValueError:  # a token longer than int() reads, or a digit of 256 or more for bytes
-                try:
-                    values = tuple(map(int, tokens))  # ints tell the two apart, on the fault path only
-                except ValueError:
-                    values = None
-            if values is None or len(carry) > longest:  # no token is read past the first too long
-                faulty = too_long = True
-                continue
+            except ValueError:  # a digit of 256 or more for bytes: ints name it, on the fault path only
+                values = tuple(map(int, tokens))
         if first_out is None and values and (
             values.translate(None, _BYTE_VALUES[:base]) if values.__class__ is bytes else max(values) >= base
         ):
@@ -770,9 +756,8 @@ def parse_expansion(text: str) -> RadixExpansion:
     if match is None:
         raise DomainError(f"cannot parse expansion {text!r}")
     pre_text, per_text, base_text = match.groups()
-    try:
-        b = int(base_text)
-    except ValueError:  # longer than int() reads
-        raise DomainError("expansion base too long") from None
-    _check_base(b)  # outside the try: a DomainError is a ValueError
+    if len(base_text) > _int_text_limit():
+        raise DomainError("expansion base too long")
+    b = int(base_text)
+    _check_base(b)
     return RadixExpansion(b, _text_digits(pre_text, b), _text_digits(per_text, b))

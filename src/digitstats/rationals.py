@@ -29,19 +29,27 @@ __all__ = [
 DECIMAL_SIGNIFICANT_DIGITS = 20
 
 
+def _int_text_limit() -> int:
+    """The most digits of integer text this package converts: the int-string limit, or 4300 where it is 0 or missing.
+
+    4300 is CPython's default limit. Where there is none (``PYTHONINTMAXSTRDIGITS=0``, or before Python 3.10.7)
+    it still bounds what is read, since converting n digits takes time quadratic in n.
+    """
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, an integer, or a finite decimal, exactly.
 
     Decimal literals are converted without any float round trip, so
     ``"0.2"`` becomes exactly 1/5. An exponent whose magnitude exceeds
-    the int-string limit (`sys.get_int_max_str_digits`, or CPython's
-    default of 4300 where there is none) is refused before `Fraction`
+    the int-string limit (`_int_text_limit`) is refused before `Fraction`
     builds its power of 10.
     """
     _, e, exponent = text.strip().upper().rpartition("E")
     digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal():
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        limit = _int_text_limit()
         if len(digits) > len(str(limit)) or int(digits) > limit:
             raise DomainError(f"cannot parse rational {text!r}: the exponent's magnitude exceeds {limit}")
     try:

@@ -64,12 +64,13 @@ MUTANTS = [
     ),
     Mutant(
         "parse-expansion-base-check", "core.py",
-        "    _check_base(b)  # outside the try", "    pass  # outside the try",
+        "    b = int(base_text)\n    _check_base(b)\n", "    b = int(base_text)\n",
         ("tests/test_core.py::test_text_to_digits_checks_its_base_and_its_digits",),
     ),
     Mutant(
         "too-long-token", "core.py",
-        "if values is None or len(carry) > longest:", "if values is None:",
+        "if overlong in data.translate(_DIGIT_TO_ONE):",
+        "if overlong in data.translate(_DIGIT_TO_ONE) and not piece[-1:].isdigit():",
         ("tests/test_digit_file.py::test_a_long_digit_token_is_refused_in_linear_time",),
     ),
     Mutant(
@@ -95,6 +96,16 @@ MUTANTS = [
         "values = bytes(bytearray(digits))",
         ("tests/test_digit_file.py::test_a_held_text_is_checked_as_it_is_read_and_not_copied",),
     ),
+    Mutant(
+        "expansion-base-bound", "core.py",
+        "if len(base_text) > _int_text_limit():", "if len(base_text) > 2 * _int_text_limit():",
+        ("tests/test_core.py::test_parse_expansion_rejects_overlong_base",),
+    ),
+    Mutant(
+        "int-text-limit-fallback", "rationals.py",
+        '"get_int_max_str_digits", int)() or 4300', '"get_int_max_str_digits", int)() or 43000',
+        ("tests/test_cli.py::test_rationals_and_digit_tokens_share_one_int_string_bound",),
+    ),
     # digit output
     Mutant(
         "run-text-writer", "core.py",
@@ -112,23 +123,34 @@ MUTANTS = [
         "whole, part = divmod(length, len(block))", "whole, part = divmod(length - 1, len(block))",
         ("tests/test_core.py::test_digit_text_matches_each_digit_written_alone",),
     ),
-    # long periods and the values of expansions
+    # expansions: the period's length from its order, then every digit from one call
     Mutant(
-        "decimal-division-tail", "_periods.py",
-        "decimal.Decimal(remainder).scaleb(count, context)", "decimal.Decimal(remainder + 1).scaleb(count, context)",
+        "preperiod-split-at-m", "core.py",
+        "digits[:m], digits[m:]", "digits[: m + 1], digits[m + 1 :]",
+        ("tests/test_core.py::test_expand_rational_matches_long_division_oracle",),
+    ),
+    Mutant(
+        "terminating-period-of-one-digit", "core.py",
+        "count = m + (1 if rest == 1 else", "count = m + (2 if rest == 1 else",
+        ("tests/test_core.py::test_expand_rational_matches_long_division_oracle",),
+    ),
+    Mutant(
+        "decimal-division-tail", "core.py",
+        "decimal.Decimal(p).scaleb(count, context)", "decimal.Decimal(p + 1).scaleb(count, context)",
         ("tests/test_core.py::test_long_expansion_round_trip",),
     ),
     Mutant(
-        "shift-and-format-tail", "_periods.py",
-        "format((remainder << (base.bit_length() - 1) * count) // q,",
-        "format(((remainder << (base.bit_length() - 1) * count) + q) // q,",
+        "shift-and-format-tail", "core.py",
+        "format((p << (base.bit_length() - 1) * count) // q,",
+        "format(((p << (base.bit_length() - 1) * count) + q) // q,",
         ("tests/test_core.py::test_long_expansion_round_trip",),
     ),
     Mutant(
-        "format-digits-translated", "_periods.py",
+        "format-digits-translated", "core.py",
         'b"0123456789abcdef", bytes(range(16))', 'b"0123456789abcdfe", bytes(range(16))',
         ("tests/test_core.py::test_long_expansion_round_trip",),
     ),
+    # the values of expansions
     Mutant(
         "value-pieces-merged", "_periods.py",
         "weight = base**_VALUE_DIGITS", "weight = base ** (_VALUE_DIGITS - 1)",

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import digitstats
-from digitstats import no_mean_example, quota_construct, FrequencyProfile
+from digitstats import DomainError, core, no_mean_example, quota_construct, rationals, FrequencyProfile
 from digitstats.cli import build_parser, run_cli
 
 from fractions import Fraction
@@ -166,6 +166,25 @@ def test_a_rational_with_more_digits_than_the_int_string_limit_is_a_usage_error(
     assert result.stderr.endswith(message)
     assert run_cli(["floor-average", "--x", f"1e-{limit - 1}", "--n", "5", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["x"] == f"1/{10 ** (limit - 1)}"
+
+
+@pytest.mark.parametrize("interpreter_limit, limit", [(640, 640), (0, 4300), (None, 4300)], ids=["640", "0", "none"])
+def test_rationals_and_digit_tokens_share_one_int_string_bound(capsys, monkeypatch, interpreter_limit, limit):
+    # the interpreter's int-string limit, or CPython's default of 4300 where it is 0 (PYTHONINTMAXSTRDIGITS=0)
+    # or missing (before Python 3.10.7), bounds an exponent, a rational argument's digits and a digit token
+    if interpreter_limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: interpreter_limit, raising=False)
+    assert rationals._int_text_limit() == limit
+    with pytest.raises(DomainError, match=f"the exponent's magnitude exceeds {limit}$"):
+        rationals.parse_rational(f"1e-{limit + 1}")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["floor-average", "--x", f"1e-{limit}", "--n", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"has more than {limit} digits (PYTHONINTMAXSTRDIGITS)\n")
+    with pytest.raises(DomainError, match="^digit token too long$"):
+        list(core._digit_chunks([b"1" * limit, b"1", b""], 16))
 
 
 HELP = Path(__file__).parent / "help"
@@ -524,7 +543,7 @@ else:
 print(*set(sys.modules) - bare)
 """
 # no run below needs these: the process pool serves only `simulate --workers` above 1, and
-# `_periods` only a period longer than the division walk, or an evaluated expansion
+# `_periods` only an evaluated expansion
 _UNNEEDED = {"dataclasses", "concurrent.futures.process", "digitstats._periods"}
 _NO_SIMULATE = {"digitstats.simulate", *_UNNEEDED}
 _NO_CONSTRUCT = {"digitstats.construct", *_UNNEEDED}

@@ -358,19 +358,6 @@ def test_order_search_memory_does_not_grow_with_the_modulus():
     assert evaluate_expansion(expansion) == Fraction(12345, 2**20000 - 1)
 
 
-def test_expand_rational_in_blocks_matches_long_division_oracle(monkeypatch):
-    """The oracle's inputs with a walk of 1, 2 and 7 digits: every longer period is searched and spans many blocks."""
-    for base in range(2, 17):
-        for q in range(1, 301):
-            expansions = remainder_cycle_oracle(q, base)
-            for division_digits in (1, 2, 7):
-                monkeypatch.setattr(core, "_DIVISION_DIGITS", division_digits)
-                for p in range(q):
-                    if gcd(p, q) == 1:
-                        expansion = expand_rational(p, q, base)
-                        assert (expansion.preperiod, expansion.period) == expansions[p], (p, q, base, division_digits)
-
-
 def merged_value(expansion: RadixExpansion) -> Fraction:
     """The value by the merge alone: the oracle for `evaluate_expansion`, which reads most values off leading digits.
 

@@ -70,11 +70,15 @@ def in_memory_stream(path: Path, base: int) -> DigitStream:
     bad = (_NOT_DIGIT_TEXT if base <= 10 else _NOT_TOKEN_TEXT).search(text)
     if bad is not None:
         raise DomainError(f"invalid digit character {bad.group()!r}")
-    try:
-        digits = tuple(int(token) for token in re.findall("[0-9]" if base <= 10 else "[0-9]+", text))
-    except ValueError:  # longer than int() reads
-        raise DomainError("digit token too long") from None
-    return DigitStream.from_digits(digits, base)
+    tokens = re.findall("[0-9]" if base <= 10 else "[0-9]+", text)
+    if max(map(len, tokens), default=0) > int_text_limit():
+        raise DomainError("digit token too long")
+    return DigitStream.from_digits(tuple(map(int, tokens)), base)
+
+
+def int_text_limit() -> int:
+    """The most digits a token may have: what int() reads, or CPython's default, 4300, where there is no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
 
 
 VALID = [*"0123456789", " ", "\n", "\r\n", "\t", "\v\f"]
@@ -309,19 +313,23 @@ def test_a_pipe_names_a_fault_as_the_file_does(tmp_path, monkeypatch):
                     assert piped == read_fault(path, 10), (size, data)
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="needs an int-string limit")
-@pytest.mark.parametrize("head, tail, fault", [
-    (b"", b"", "digit token too long"),
-    (b"", b" x", "invalid digit character 'x'"),
-    (b"16," + b"\n" * (1 << 16), b"", "digit token too long"),
-], ids=["the token alone", "a bad character after it", "a digit out of range a piece before it"])
-def test_a_long_digit_token_is_refused_in_linear_time(tmp_path, head, tail, fault):
+@pytest.mark.parametrize("head, tail, fault, limit", [
+    (b"", b"", "digit token too long", None),
+    (b"", b" x", "invalid digit character 'x'", None),
+    (b"16," + b"\n" * (1 << 16), b"", "digit token too long", None),
+    (b"", b"", "digit token too long", "0"),
+], ids=["the token alone", "a bad character after it", "a digit out of range a piece before it", "no int-string limit"])
+def test_a_long_digit_token_is_refused_in_linear_time(tmp_path, head, tail, fault, limit):
     # one base-16 token of 32 MiB: carried piece by piece whole, it cost CPU time quadratic in its length
     # (about 11 s a run on a 2-CPU host); refused once it is longer than int() reads, a run takes well under 3 s.
     # A digit out of range in the 64 KiB piece before the token is a fault first: the rest is then read for a
-    # fault named before it, and the token must be refused as fast there too
+    # fault named before it, and the token must be refused as fast there too. With no int-string limit
+    # (PYTHONINTMAXSTRDIGITS=0) a token is refused past CPython's default limit, 4300 digits: reading it whole
+    # had run for minutes
     resource = pytest.importorskip("resource")
     env = {**os.environ, "PYTHONPATH": str(Path(digitstats.__file__).parents[1])}
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
     data = head + b"1" * (32 << 20) + tail
     path = tmp_path / "token.txt"
     path.write_bytes(data)
@@ -401,7 +409,7 @@ def test_a_held_text_is_checked_as_it_is_read_and_not_copied():
 
 
 def reference_tokens(data: bytes, base: int) -> list[int] | str:
-    """Oracle for token text: decode it whole, find a bad character, split, `int` each token, check the range.
+    """Oracle for token text: decode it whole, find a bad character, split, bound and `int` each token, check the range.
 
     It returns the digits, or the message of the fault the reader must raise.
     """
@@ -412,17 +420,17 @@ def reference_tokens(data: bytes, base: int) -> list[int] | str:
     bad = _NOT_TOKEN_TEXT.search(text)
     if bad is not None:
         return f"invalid digit character {bad.group()!r}"
-    try:
-        digits = [int(token) for token in text.replace(",", " ").split()]
-    except ValueError:  # longer than int() reads
+    tokens = text.replace(",", " ").split()
+    if max(map(len, tokens), default=0) > int_text_limit():
         return "digit token too long"
+    digits = list(map(int, tokens))
     out = [digit for digit in digits if digit >= base]
     return f"digit {out[0]} out of range for base {base}" if out else digits
 
 
 def random_token_text(rng: random.Random, base: int, size: int, faults: float) -> bytes:
     """`size` tokens below `base`, some with leading zeros; a share `faults` of them faults of any kind."""
-    longest = getattr(sys, "get_int_max_str_digits", int)()
+    longest = int_text_limit()
     parts = []
     for _ in range(size):
         roll = rng.random() / faults if faults else 1
@@ -431,7 +439,7 @@ def random_token_text(rng: random.Random, base: int, size: int, faults: float) -
             continue
         if roll < 0.8:  # out of range: just past the base, past a byte, past a machine word
             token = str(rng.choice([base, base + 1, 255, 256, 257, 300, 2**64, 10**30]))
-        elif roll < 1 and longest:  # at the int-string limit, or one digit past it
+        elif roll < 1:  # at the int-string limit, or one digit past it
             token = "7" * (longest + rng.choice([0, 1]))
         else:
             token = str(rng.randrange(base))
@@ -447,7 +455,7 @@ def test_the_token_reader_matches_a_plain_reader(base):
     # bytes up to base 256 and ints above, or raises the fault it names, as from_text and text_to_digits do
     rng = random.Random(base)
     texts = [random_token_text(rng, base, rng.choice([1, 5, 40, 200]), rng.choice([0, 0.01, 0.05])) for _ in range(60)]
-    longest = b"9" * (getattr(sys, "get_int_max_str_digits", int)() + 1)
+    longest = b"9" * (int_text_limit() + 1)
     texts += [b"", b"0" * 9 + str(base - 1).encode(), b"00" + str(base).encode(), b"1" * 70000 + b",x"]
     texts += [b"1,256,2 " + longest, b"300 " + longest + b" x", b"3," + b"9" * 30 + b",1", b"256,\xff"]
     texts += [random_token_text(rng, base, 40000, faults) for faults in (0, 0, 0.0001)]  # past a 64 KiB piece

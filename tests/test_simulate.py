@@ -322,11 +322,13 @@ def test_stddev_is_rounded_once():
         variance = Fraction(rng.randrange(1, 10**40), rng.randrange(1, 10**3)) / 10 ** rng.randrange(80)
         digits = rng.randrange(1, 25)
         assert stddev_of(variance, digits) == stddev_oracle(variance, digits), (variance, digits)
-    # exact squares render as their exact quotient does, and a rational root can be a midpoint
+    # exact squares render as their exact quotient does, and a rational root can be a midpoint; for
+    # 3/4**5000 the exponent guessed from bit lengths leaves the root's integer short of 20 digits, so it is raised
     for variance, digits, text in [
         (0, 20, "0"), (Fraction(1, 4), 20, "0.5"), (Fraction(1, 16), 20, "0.25"), (Fraction(1, 100), 20, "0.1"),
         (100, 20, "10"), (Fraction(4, 25), 20, "0.4"), (Fraction(1, 9), 20, "0.33333333333333333333"),
         (Fraction(1, 64), 2, "0.12"), (Fraction(9, 64), 2, "0.38"),
+        (Fraction(3, 4**5000), 20, "1.2262592812133719393E-1505"),
     ]:
         assert stddev_of(Fraction(variance), digits) == stddev_oracle(Fraction(variance), digits) == text, variance
 
